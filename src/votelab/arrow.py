@@ -9,6 +9,7 @@ encoded +1 (strictly better), 0 (indifferent), -1 (strictly worse).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 from dataclasses import dataclass
@@ -17,6 +18,7 @@ from typing import Callable, Iterable, Mapping
 from .core import BoundError
 
 Stance = int  # +1, 0, -1
+PairTable = dict[tuple[Stance, ...], Stance]  # voters' stances -> social stance
 
 
 @dataclass(frozen=True)
@@ -125,10 +127,9 @@ class TabulatedSWF(SWF):
 
     def __init__(self, alternatives: tuple[str, ...], n: int,
                  table: Mapping[ArrowProfile, WeakOrder], descriptor: str | None = None):
+        self._values = tuple(table[p] for p in sorted_profiles(alternatives, n))
         if descriptor is None:
-            digest = hashlib.sha256(
-                "|".join(str(table[p]) for p in sorted_profiles(alternatives, n)).encode()
-            ).hexdigest()[:12]
+            digest = hashlib.sha256("|".join(map(str, self._values)).encode()).hexdigest()[:12]
             descriptor = f"swf:sha256:{digest}"
         super().__init__(alternatives, n, descriptor)
         self.table = dict(table)
@@ -137,11 +138,13 @@ class TabulatedSWF(SWF):
         return self.table[profile]
 
     def value_tuple(self) -> tuple[WeakOrder, ...]:
-        return tuple(self.table[p] for p in sorted_profiles(self.alternatives, self.n))
+        """Orders in canonical profile order; the table's identity for sorting."""
+        return self._values
 
 
+@functools.lru_cache(maxsize=None)
 def sorted_profiles(alternatives: tuple[str, ...], n: int) -> tuple[ArrowProfile, ...]:
-    """All order profiles in canonical enumeration order."""
+    """All order profiles in canonical enumeration order, built once per domain."""
     orders = enumerate_weak_orders(alternatives)
     return tuple(itertools.product(orders, repeat=n))
 
@@ -253,24 +256,34 @@ def check_a2(swf: SWF) -> ArrowCheckResult:
     return ArrowCheckResult("A2", "pass", None, checked)
 
 
+def _pair_factor(swf: SWF, profiles: tuple[ArrowProfile, ...], a: str,
+                 b: str) -> tuple[PairTable, tuple[ArrowProfile, ArrowProfile] | None]:
+    """The social stance on (a, b) as a table over the voters' stances on the
+    pair, or the first two profiles sharing voter stances but not the social one."""
+    table: PairTable = {}
+    first: dict[tuple[Stance, ...], ArrowProfile] = {}
+    for x in profiles:
+        key = tuple(w.stance(a, b) for w in x)
+        social = swf.evaluate(x).stance(a, b)
+        if table.setdefault(key, social) != social:
+            return table, (first[key], x)
+        first.setdefault(key, x)
+    return table, None
+
+
 def check_a3(swf: SWF) -> ArrowCheckResult:
     """Pair independence: the social stance on a pair depends only on the
     voters' stances on that pair."""
     profiles = sorted_profiles(swf.alternatives, swf.n)
     checked = len(profiles)
     for a, b in _unordered_pairs(swf.alternatives):
-        seen: dict[tuple[Stance, ...], tuple[ArrowProfile, Stance]] = {}
-        for x in profiles:
-            key = tuple(w.stance(a, b) for w in x)
-            social = swf.evaluate(x).stance(a, b)
-            if key not in seen:
-                seen[key] = (x, social)
-            elif seen[key][1] != social:
-                w = ArrowWitness(
-                    seen[key][0], x, (a, b),
-                    f"same voter stances on ({a}, {b}) but social stance differs",
-                )
-                return ArrowCheckResult("A3", "fail", w, checked)
+        _, conflict = _pair_factor(swf, profiles, a, b)
+        if conflict is not None:
+            w = ArrowWitness(
+                *conflict, (a, b),
+                f"same voter stances on ({a}, {b}) but social stance differs",
+            )
+            return ArrowCheckResult("A3", "fail", w, checked)
     return ArrowCheckResult("A3", "pass", None, checked)
 
 
@@ -376,7 +389,7 @@ def _order_from_ge(alternatives: tuple[str, ...], ge: Callable[[str, str], bool]
 
 def factor_into_pair_functions(
     swf: SWF,
-) -> dict[tuple[str, str], dict[tuple[Stance, ...], Stance]] | None:
+) -> dict[tuple[str, str], PairTable] | None:
     """Per-pair stance aggregators the SWF factors through, or None.
 
     The factorization exists exactly when the SWF is pair-independent: the
@@ -384,15 +397,12 @@ def factor_into_pair_functions(
     pair's per-voter stance vector, and the rebuilt factors then reproduce the
     SWF's stances pointwise.
     """
-    factors: dict[tuple[str, str], dict[tuple[Stance, ...], Stance]] = {}
+    profiles = sorted_profiles(swf.alternatives, swf.n)
+    factors: dict[tuple[str, str], PairTable] = {}
     for a, b in _unordered_pairs(swf.alternatives):
-        table: dict[tuple[Stance, ...], Stance] = {}
-        for x in sorted_profiles(swf.alternatives, swf.n):
-            key = tuple(w.stance(a, b) for w in x)
-            social = swf.evaluate(x).stance(a, b)
-            if table.setdefault(key, social) != social:
-                return None
-        factors[(a, b)] = table
+        factors[(a, b)], conflict = _pair_factor(swf, profiles, a, b)
+        if conflict is not None:
+            return None
     return factors
 
 
@@ -525,9 +535,6 @@ def arrow_search(n: int = 2, alternatives: tuple[str, ...] = ("a", "b", "c")) ->
         tables.append(TabulatedSWF(alternatives, n, table))
 
     order_index = {w: i for i, w in enumerate(enumerate_weak_orders(alternatives))}
-    tables.sort(key=lambda s: tuple(order_index[w] for w in s.value_tuple()))
-    deduped = []
-    for t in tables:
-        if not deduped or deduped[-1].value_tuple() != t.value_tuple():
-            deduped.append(t)
-    return tuple(deduped)
+    unique = {t.value_tuple(): t for t in tables}  # equal values: equal tables
+    return tuple(sorted(unique.values(),
+                        key=lambda s: tuple(order_index[w] for w in s.value_tuple())))

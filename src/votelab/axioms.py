@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .core import (
     Alphabet,
     AltPermutation,
+    BoundError,
     Profile,
     VoteLabError,
     VoterPermutation,
@@ -157,39 +158,47 @@ def check_c3(rule: RuleFamily, n_max: int) -> CheckResult:
     quadratic profile-times-permutation loop, witness included.
     """
     _require_checkable(rule.alphabet)
-    index = rule.alphabet.index
     checked = 0
     for size in range(n_max + 1):
-        outcomes: dict[tuple[str, ...], str] = {}
-        class_value: dict[tuple[str, ...], str] = {}
-        bad_classes: set[tuple[str, ...]] = set()
-        order: list[Profile] = []
-        for p in profiles_of_size(rule.alphabet, size):
-            checked += 1
-            value = rule.evaluate(p)
-            outcomes[p.ballots] = value
-            order.append(p)
-            key = tuple(sorted(p.ballots, key=index))
-            if key not in class_value:
-                class_value[key] = value
-            elif class_value[key] != value:
-                bad_classes.add(key)
-        if not bad_classes:
-            continue
-        for p in order:
-            key = tuple(sorted(p.ballots, key=index))
-            if key not in bad_classes:
-                continue
-            fx = outcomes[p.ballots]
-            for mapping in itertools.permutations(range(size)):
-                perm = VoterPermutation(mapping)
-                q = apply_voter_permutation(p, perm)
-                observed = outcomes[q.ballots]
-                if observed != fx:
-                    w = Witness(C3, p, q, voter_permutation=perm,
-                                expected=fx, observed=observed)
-                    return CheckResult(C3, "fail", w, checked)
+        witness, count = _multiset_scan(rule, size, C3)
+        checked += count
+        if witness is not None:
+            return CheckResult(C3, "fail", witness, checked)
     return CheckResult(C3, "pass", None, checked)
+
+
+def _multiset_scan(rule: RuleFamily, size: int, axiom: str) -> tuple[Witness | None, int]:
+    """Voter-permutation invariance at one profile size, with the profile count.
+
+    Evaluates every profile of the size once and checks the outcome for
+    constancy on each ballot-multiset class.  The witness is the first
+    profile of an offending class with the first voter permutation that
+    changes its outcome.
+    """
+    index = rule.alphabet.index
+    outcomes: dict[tuple[str, ...], str] = {}
+    class_value: dict[tuple[str, ...], str] = {}
+    bad_classes: set[tuple[str, ...]] = set()
+    for p in profiles_of_size(rule.alphabet, size):
+        value = rule.evaluate(p)
+        outcomes[p.ballots] = value
+        key = tuple(sorted(p.ballots, key=index))
+        if class_value.setdefault(key, value) != value:
+            bad_classes.add(key)
+    if not bad_classes:
+        return None, len(outcomes)
+    for ballots, fx in outcomes.items():
+        if tuple(sorted(ballots, key=index)) not in bad_classes:
+            continue
+        p = Profile(rule.alphabet, ballots)
+        for mapping in itertools.permutations(range(size)):
+            perm = VoterPermutation(mapping)
+            q = apply_voter_permutation(p, perm)
+            observed = outcomes[q.ballots]
+            if observed != fx:
+                w = Witness(axiom, p, q, voter_permutation=perm, expected=fx, observed=observed)
+                return w, len(outcomes)
+    return None, len(outcomes)
 
 
 def check_c4(rule: RuleFamily, n_max: int) -> CheckResult:
@@ -321,37 +330,8 @@ def _require_may(rule: RuleFamily) -> None:
 def check_ma2(rule: RuleFamily, n: int) -> CheckResult:
     """May's symmetry at exact size n: full voter-permutation invariance."""
     _require_may(rule)
-    index = rule.alphabet.index
-    outcomes: dict[tuple[str, ...], str] = {}
-    class_value: dict[tuple[str, ...], str] = {}
-    bad_classes: set[tuple[str, ...]] = set()
-    order: list[Profile] = []
-    checked = 0
-    for p in profiles_of_size(rule.alphabet, n):
-        checked += 1
-        value = rule.evaluate(p)
-        outcomes[p.ballots] = value
-        order.append(p)
-        key = tuple(sorted(p.ballots, key=index))
-        if key not in class_value:
-            class_value[key] = value
-        elif class_value[key] != value:
-            bad_classes.add(key)
-    if bad_classes:
-        for p in order:
-            key = tuple(sorted(p.ballots, key=index))
-            if key not in bad_classes:
-                continue
-            fx = outcomes[p.ballots]
-            for mapping in itertools.permutations(range(n)):
-                perm = VoterPermutation(mapping)
-                q = apply_voter_permutation(p, perm)
-                observed = outcomes[q.ballots]
-                if observed != fx:
-                    w = Witness(MA2, p, q, voter_permutation=perm,
-                                expected=fx, observed=observed)
-                    return CheckResult(MA2, "fail", w, checked)
-    return CheckResult(MA2, "pass", None, checked)
+    witness, checked = _multiset_scan(rule, n, MA2)
+    return CheckResult(MA2, "pass" if witness is None else "fail", witness, checked)
 
 
 def check_ma3(rule: RuleFamily, n: int) -> CheckResult:
@@ -523,7 +503,10 @@ def audit(
     ma4_semantics: str = "in_favor",
 ) -> AuditReport:
     """Run the selected checkers; checker errors are recorded per axiom and do
-    not abort the remaining ones."""
+    not abort the remaining ones.  A negative bound raises BoundError up front,
+    so it never yields a vacuous pass."""
+    if n_max < 0:
+        raise BoundError(f"max voters {n_max} is negative")
     for a in axioms:
         if a not in ALL_AXIOMS:
             raise VoteLabError(f"unknown axiom {a!r}")

@@ -22,6 +22,7 @@ from .core import (
     Profile,
     RuleDomainError,
     VoteLabError,
+    compositions,
     signatures_up_to,
 )
 from .rules import (
@@ -208,8 +209,10 @@ def family_json(family: TabulatedFamily) -> dict:
         "bot": family.alphabet.bot,
         "horizon": family.horizon,
         "entries": [
-            [list(sig.counts), family.table[sig.counts]]
-            for sig in signatures_up_to(family.alphabet, family.horizon)
+            [list(sig.counts), value]
+            for sig, value in zip(
+                signatures_up_to(family.alphabet, family.horizon), family.value_tuple()
+            )
         ],
     }
 
@@ -259,11 +262,14 @@ def witness_json(w: Witness | None) -> dict | None:
     return doc
 
 
+def _report_header(command: str) -> dict:
+    """The fields every report document opens with, in their fixed order."""
+    return {"schema": 1, "toolkit": f"votelab {__version__}", "command": command}
+
+
 def audit_json(report: AuditReport, parameters: dict) -> dict:
     return {
-        "schema": 1,
-        "toolkit": f"votelab {__version__}",
-        "command": "audit",
+        **_report_header("audit"),
         "parameters": parameters,
         "bounds": {
             "alternatives": list(report.alphabet.alternatives),
@@ -379,9 +385,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     maximal = maximal_elements(fs)
     maximal_ids = {f.value_tuple() for f in maximal}
     doc = {
-        "schema": 1,
-        "toolkit": f"votelab {__version__}",
-        "command": "enumerate",
+        **_report_header("enumerate"),
         "parameters": {
             "alternatives": args.alternatives,
             "horizon": args.horizon,
@@ -421,18 +425,13 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_may(args: argparse.Namespace) -> int:
     semantics = args.semantics.replace("-", "_")
     tables = enumerate_may_functions(args.voters, semantics)
+    triples = list(compositions(args.voters, 3))
     doc = {
-        "schema": 1,
-        "toolkit": f"votelab {__version__}",
-        "command": "may",
+        **_report_header("may"),
         "parameters": {"voters": args.voters, "semantics": args.semantics},
         "counts": {"tables": len(tables)},
         "tables": [
-            {
-                "entries": [
-                    [list(t), table.table[t]] for t in sorted(table.table)
-                ]
-            }
+            {"entries": [[list(t), v] for t, v in zip(triples, table.value_tuple())]}
             for table in tables
         ],
     }
@@ -446,9 +445,7 @@ def cmd_arrow_search(args: argparse.Namespace) -> int:
     survivors = arrow_search(n, alternatives)
     profiles = sorted_profiles(alternatives, n)
     doc = {
-        "schema": 1,
-        "toolkit": f"votelab {__version__}",
-        "command": "arrow-search",
+        **_report_header("arrow-search"),
         "parameters": {"voters": n, "alternatives": list(alternatives)},
         "counts": {"survivors": len(survivors), "profiles": len(profiles)},
         "survivors": [
@@ -481,9 +478,7 @@ def cmd_order(args: argparse.Namespace) -> int:
         print(f"witness: [{','.join(witness.ballots)}]")
     if args.out:
         doc = {
-            "schema": 1,
-            "toolkit": f"votelab {__version__}",
-            "command": "order",
+            **_report_header("order"),
             "parameters": {
                 "rule_a": args.rule_a,
                 "rule_b": args.rule_b,

@@ -8,10 +8,11 @@ ordering in the toolkit derives from it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Container, Hashable, Iterator, Mapping, Sequence
 
 
 class VoteLabError(Exception):
@@ -240,15 +241,35 @@ def profiles_up_to(alphabet: Alphabet, n_max: int) -> Iterator[Profile]:
         yield from profiles_of_size(alphabet, size)
 
 
-def signatures_up_to(alphabet: Alphabet, horizon: int) -> list[CountSignature]:
-    """All count signatures with total at most ``horizon``, by total then lex."""
+def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Every tuple of ``parts`` >= 1 nonnegative counts summing to ``total``, lexicographic."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+@functools.lru_cache(maxsize=None)
+def signatures_up_to(alphabet: Alphabet, horizon: int) -> tuple[CountSignature, ...]:
+    """All count signatures with total at most ``horizon``, by total then lex:
+    the canonical key order of every table over the alphabet, built once."""
     k = len(alphabet.non_bot)
-    out = []
-    for total in range(horizon + 1):
-        for counts in itertools.product(range(total + 1), repeat=k):
-            if sum(counts) == total:
-                out.append(CountSignature(alphabet, counts))
-    return out
+    return tuple(CountSignature(alphabet, counts)
+                 for total in range(horizon + 1) for counts in compositions(total, k))
+
+
+def table_values(table: Mapping, keys: Sequence[Hashable], allowed: Container) -> tuple:
+    """The table's values in the canonical key order ``keys``; ValueError unless
+    the table holds exactly those keys and every value is in ``allowed``."""
+    if len(table) != len(keys) or not all(key in table for key in keys):
+        raise ValueError("table must cover exactly the canonical keys of its domain")
+    values = tuple(table[key] for key in keys)
+    for value in values:
+        if value not in allowed:
+            raise ValueError(f"table value {value!r} not in {allowed}")
+    return values
 
 
 def profile_for_signature(sig: CountSignature) -> Profile:

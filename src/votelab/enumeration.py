@@ -11,18 +11,19 @@ which are implemented independently.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import (
     Alphabet,
     BoundError,
     Profile,
     VoteLabError,
+    compositions,
     profiles_up_to,
     signatures_up_to,
-    strict_plurality,
+    table_values,
 )
-from .rules import FunctionRule, RuleFamily, TabulatedFamily, signature_tally
+from .rules import FunctionRule, RuleFamily, TabulatedFamily, pure_majority_table
 from . import axioms
 
 MAY_VALUES = (-1, 0, 1)
@@ -38,17 +39,14 @@ class MayFunctionTable:
 
     n: int
     table: dict[tuple[int, int, int], int]
+    _values: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        expected = set(_count_triples(self.n))
-        if set(self.table) != expected:
-            raise ValueError("table must cover every count triple")
-        for v in self.table.values():
-            if v not in MAY_VALUES:
-                raise ValueError(f"table value {v!r} not in {MAY_VALUES}")
+        keys = tuple(compositions(self.n, 3))
+        object.__setattr__(self, "_values", table_values(self.table, keys, MAY_VALUES))
 
     def value_tuple(self) -> tuple[int, ...]:
-        return tuple(self.table[t] for t in _count_triples(self.n))
+        return self._values
 
     def as_rule(self) -> RuleFamily:
         alphabet = Alphabet.may()
@@ -70,16 +68,8 @@ class MayFunctionTable:
     @staticmethod
     def sign_table(n: int) -> "MayFunctionTable":
         """The majority-by-sign rule: compare the +1 and -1 counts."""
-        table = {}
-        for m, z, p in _count_triples(n):
-            table[(m, z, p)] = (p > m) - (p < m)
+        table = {(m, z, p): (p > m) - (p < m) for m, z, p in compositions(n, 3)}
         return MayFunctionTable(n, table)
-
-
-def _count_triples(n: int) -> list[tuple[int, int, int]]:
-    return [
-        (m, z, n - m - z) for m in range(n + 1) for z in range(n - m + 1)
-    ]
 
 
 def _may_moves(n: int, semantics: str) -> list[tuple[tuple[int, int, int], tuple[int, int, int], int]]:
@@ -92,7 +82,7 @@ def _may_moves(n: int, semantics: str) -> list[tuple[tuple[int, int, int], tuple
         raise VoteLabError(f"unknown Ma4 semantics {semantics!r}")
     slot = {-1: 0, 0: 1, 1: 2}
     moves = []
-    for t in _count_triples(n):
+    for t in compositions(n, 3):
         for u, w in transitions:
             if t[slot[u]] == 0:
                 continue
@@ -118,7 +108,7 @@ def enumerate_may_functions(
     """
     if not 1 <= n <= max_n:
         raise BoundError(f"voter count {n} outside enumeration bound 1..{max_n}")
-    triples = _count_triples(n)
+    triples = list(compositions(n, 3))
     mirror = {t: (t[2], t[1], t[0]) for t in triples}
     free = [t for t in triples if t[2] > t[0]]  # positive side; rest follows
     moves = _may_moves(n, semantics)
@@ -295,7 +285,7 @@ def enumerate_c_families(
 
     def backtrack(idx: int) -> None:
         if idx == len(sigs):
-            table = {s: assignment[position[s]] for s in sigs}
+            table = dict(zip(sigs, assignment))
             if with_c6 and not passes_c6(table):
                 return
             families.append(TabulatedFamily(alphabet, horizon, table))
@@ -326,8 +316,11 @@ def rule_leq(f: RuleFamily, g: RuleFamily, n_max: int) -> tuple[bool, Profile | 
     """Whether f is at most g: wherever f is conclusive, g agrees.
 
     On failure returns the minimal profile (smallest size, lexicographically
-    first) where f is conclusive and differs from g.
+    first) where f is conclusive and differs from g.  A negative bound
+    raises BoundError rather than holding vacuously.
     """
+    if n_max < 0:
+        raise BoundError(f"max voters {n_max} is negative")
     if f.alphabet != g.alphabet:
         raise VoteLabError("rules must share an alphabet to be compared")
     bot = f.alphabet.bot
@@ -340,9 +333,9 @@ def rule_leq(f: RuleFamily, g: RuleFamily, n_max: int) -> tuple[bool, Profile | 
     return True, None
 
 
-def _table_leq(f: TabulatedFamily, g: TabulatedFamily) -> bool:
-    bot = f.alphabet.bot
-    return all(v == bot or v == g.table[s] for s, v in f.table.items())
+def _table_leq(f: tuple[str, ...], g: tuple[str, ...], bot: str) -> bool:
+    """Whether value tuple f is at most g: wherever f is conclusive, g agrees."""
+    return all(v == bot or v == w for v, w in zip(f, g))
 
 
 def maximal_elements(family_set: FamilySet) -> tuple[TabulatedFamily, ...]:
@@ -357,16 +350,12 @@ def maximal_elements(family_set: FamilySet) -> tuple[TabulatedFamily, ...]:
     consistent rule.  Pure majority is the unique maximal element of the
     horizon-h restrictions of the horizon-2h set, which are free of them.
     """
+    bot = family_set.alphabet.bot
     values = [f.value_tuple() for f in family_set.families]
-    out = []
-    for i, f in enumerate(family_set.families):
-        dominated = any(
-            values[j] != values[i] and _table_leq(f, g)
-            for j, g in enumerate(family_set.families)
-        )
-        if not dominated:
-            out.append(f)
-    return tuple(out)
+    return tuple(
+        f for f, v in zip(family_set.families, values)
+        if not any(w != v and _table_leq(v, w, bot) for w in values)
+    )
 
 
 def plurality_artifacts(
@@ -385,13 +374,13 @@ def plurality_artifacts(
     then lies inside the larger horizon; pure majority is the unique maximal
     element of that restriction.
     """
+    sigs = signatures_up_to(family_set.alphabet, family_set.horizon)
+    bot = family_set.alphabet.bot
+    winners = pure_majority_table(family_set.alphabet, family_set.horizon).value_tuple()
     out = []
     for fam in family_set.families:
-        for sig in signatures_up_to(family_set.alphabet, family_set.horizon):
-            value = fam.table[sig.counts]
-            if value == family_set.alphabet.bot:
-                continue
-            if strict_plurality(signature_tally(sig)) != value:
+        for sig, value, winner in zip(sigs, fam.value_tuple(), winners):
+            if value not in (bot, winner):
                 out.append((fam, sig.counts))
                 break
     return out

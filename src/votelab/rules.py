@@ -8,7 +8,7 @@ thresholds are exact rationals, so equality at the threshold is meaningful.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping
 
@@ -22,6 +22,7 @@ from .core import (
     signature,
     signatures_up_to,
     strict_plurality,
+    table_values,
     tally,
 )
 
@@ -122,20 +123,15 @@ class TabulatedFamily:
     alphabet: Alphabet
     horizon: int
     table: Mapping[tuple[int, ...], str]
+    _values: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        expected = {sig.counts for sig in signatures_up_to(self.alphabet, self.horizon)}
-        if set(self.table) != expected:
-            raise ValueError("table must cover exactly the signatures within the horizon")
-        for value in self.table.values():
-            if value not in self.alphabet:
-                raise ValueError(f"table value {value!r} not in alphabet")
+        keys = [sig.counts for sig in signatures_up_to(self.alphabet, self.horizon)]
+        object.__setattr__(self, "_values", table_values(self.table, keys, self.alphabet))
 
     def value_tuple(self) -> tuple[str, ...]:
         """Values in canonical signature order; the family's identity for sorting."""
-        return tuple(
-            self.table[sig.counts] for sig in signatures_up_to(self.alphabet, self.horizon)
-        )
+        return self._values
 
     def content_id(self) -> str:
         payload = "|".join(self.value_tuple()).encode()

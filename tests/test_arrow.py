@@ -242,6 +242,11 @@ class TestArrowSearch:
             s.value_tuple() for s in survivors
         ]
 
+    def test_sorted_profiles_are_a_cached_tuple(self):
+        profiles = sorted_profiles(ALTS, 2)
+        assert isinstance(profiles, tuple) and len(profiles) == 169
+        assert sorted_profiles(ALTS, 2) is profiles
+
     def test_factorization_matches_pair_independence(self):
         # a factorization exists exactly when the pair-independence check passes
         survivors = arrow_search(2, ALTS)

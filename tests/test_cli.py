@@ -240,6 +240,21 @@ class TestBoundsAndDocs:
     def test_may_bound_exits_3(self):
         assert main(["may", "--voters", "9"]) == 3
 
+    def test_negative_audit_bound_exits_3_without_report(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["audit", "--rule", "pure-majority", "--max-voters", "-1",
+                     "--out", str(out)]) == 3
+        assert not out.exists()
+        assert main(["audit", "--rule", "pure-majority", "--max-voters", "0",
+                     "--out", str(out)]) == 0
+
+    def test_negative_order_bound_exits_3(self, capsys, tmp_path):
+        out = tmp_path / "o.json"
+        assert main(["order", "pure-majority", "pure-majority", "--max-voters", "-5",
+                     "--out", str(out)]) == 3
+        assert "true" not in capsys.readouterr().out
+        assert not out.exists()
+
     def test_enumerate_document(self, tmp_path):
         out = str(tmp_path / "e.json")
         assert main(["enumerate", "--alternatives", "2", "--horizon", "2",

@@ -11,6 +11,7 @@ from votelab.core import (
     VoterPermutation,
     apply_alt_permutation,
     apply_voter_permutation,
+    compositions,
     extend,
     profile_for_signature,
     profiles_up_to,
@@ -167,6 +168,31 @@ class TestSignature:
                 assert signature(extend(p, "_")).counts == counts
         # signature class sizes for two alternatives, size <= 3
         assert len(classes) == len(signatures_up_to(AB2, 3))
+
+
+class TestCanonicalOrder:
+    def test_signatures_match_filtered_product_order(self):
+        for k in range(1, 4):
+            alphabet = Alphabet.make(k)
+            for h in range(7):
+                old = [
+                    counts
+                    for total in range(h + 1)
+                    for counts in itertools.product(range(total + 1), repeat=k)
+                    if sum(counts) == total
+                ]
+                assert [s.counts for s in signatures_up_to(alphabet, h)] == old
+
+    def test_compositions_match_count_triples(self):
+        for n in range(7):
+            old = [(m, z, n - m - z) for m in range(n + 1) for z in range(n - m + 1)]
+            assert list(compositions(n, 3)) == old
+
+    def test_signatures_are_a_cached_tuple(self):
+        sigs = signatures_up_to(AB3, 4)
+        assert isinstance(sigs, tuple)
+        assert signatures_up_to(AB3, 4) is sigs
+        assert signatures_up_to(Alphabet.make(3), 4) is sigs
 
 
 class TestStrictPlurality:

@@ -14,7 +14,6 @@ from votelab import axioms
 from votelab.enumeration import (
     FamilySet,
     MayFunctionTable,
-    _count_triples,
     enumerate_c_families,
     enumerate_may_functions,
     maximal_elements,
@@ -30,7 +29,7 @@ AB2 = Alphabet.make(2)
 
 def brute_force_may_tables(n, semantics):
     """Oracle: filter every table by the conditions stated on raw profiles."""
-    triples = _count_triples(n)
+    triples = [(m, z, n - m - z) for m in range(n + 1) for z in range(n - m + 1)]
     profiles = list(itertools.product((-1, 0, 1), repeat=n))
 
     def counts(p):

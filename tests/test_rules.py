@@ -149,6 +149,14 @@ class TestTabulated:
         del partial[(1, 1)]
         with pytest.raises(ValueError):
             TabulatedFamily(AB2, 2, partial)
+        extra = dict(fam.table)
+        extra[(3, 0)] = "a"  # beyond the horizon
+        with pytest.raises(ValueError):
+            TabulatedFamily(AB2, 2, extra)
+        swapped = dict(partial)
+        swapped[(1, 1, 0)] = "_"  # same length, but a key of the wrong length
+        with pytest.raises(ValueError):
+            TabulatedFamily(AB2, 2, swapped)
 
     def test_table_values_must_be_in_alphabet(self):
         fam = pure_majority_table(AB2, 2)
