@@ -5,26 +5,47 @@ counterexample exists within the bounds, never a sample.  A reported witness is
 minimal (smallest failing profile size, then lexicographically first in the
 alphabet's canonical order), so reports are reproducible byte for byte.
 
+Every checker reads one evaluation pass, an :class:`Outcomes` table: the
+rule's outcome on each raw profile, stored under the profile's base-|A| code
+(ballots are digits in alphabet order, the first ballot most significant).
+Code order is the order of ``profiles_of_size``, so the first failing code is
+the minimal witness.  A slot is evaluated when a checker first reads it and
+then kept, an evaluation that raised included: :func:`audit` hands one table
+to every selected checker, so it evaluates each profile at most once, and a
+checker on its own evaluates only the profiles it reads.  Checkers read the
+slots in the order in which a per-profile loop would evaluate them, so an
+error surfaces at the same profile.  Moves between profiles are index
+arithmetic: a voter joining with ballot d leads to ``code*k + d``, a
+relabeling maps every digit, and a changed ballot at voter v adds
+``(new-old)*k^(n-1-v)``.
+
 Neutrality (C2), anonymity (C3) and tie-ballot invariance (C4) are always
 tested on raw profiles, never through the count-signature quotient, so a bug in
-the signature representation cannot mask a violation.
+the signature representation cannot mask a violation.  The table is indexed by
+raw profiles, and the ballot-multiset classes of C3 are keyed by per-code
+counts over every alternative, tie included, never by ``core.signature``.
+Every checker and :func:`audit` refuse, with BoundError and before any
+evaluation, a negative bound and one over ``core.PROFILE_BUDGET``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Callable
 
 from .core import (
     Alphabet,
     AltPermutation,
-    BoundError,
     Profile,
+    RuleDomainError,
+    Tally,
     VoteLabError,
     VoterPermutation,
     apply_alt_permutation,
     apply_voter_permutation,
     extend,
+    profile_budget,
     profiles_of_size,
     strict_plurality,
     tally,
@@ -82,6 +103,7 @@ class CheckResult:
     witness: Witness | None = None
     profiles_checked: int = 0
     error: str | None = None
+    error_type: type[Exception] | None = None  # the class of the error recorded
 
     @property
     def passed(self) -> bool:
@@ -116,16 +138,138 @@ class AuditReport:
         raise KeyError(axiom)
 
 
+# --- the outcome table ------------------------------------------------------
+
+_PENDING = object()
+
+
+class _Level:
+    """The slots of one profile size.
+
+    A scan takes its profiles from ``profiles_of_size``, drawn up to the code
+    it reads and dropped once evaluated; a probe of a code not yet drawn builds
+    that one profile from its code.
+    """
+
+    def __init__(self, table: "Outcomes", size: int):
+        self.table = table
+        self.size = size
+        self.slots: list = [_PENDING] * table.k ** size
+        self.generator = profiles_of_size(table.alphabet, size)
+        self.drawn: list[Profile | None] = []
+
+    def fill(self, code: int, scan: bool) -> object:
+        slots, drawn = self.slots, self.drawn
+        if scan:
+            while len(drawn) <= code:
+                profile = next(self.generator)
+                drawn.append(profile if slots[len(drawn)] is _PENDING else None)
+        if code < len(drawn):
+            profile, drawn[code] = drawn[code], None
+        else:
+            profile = self.table.profile(self.size, code)
+        try:
+            value = self.table.rule.evaluate(profile)
+        except Exception as exc:  # kept in the slot; every read raises it
+            value = exc
+        slots[code] = value
+        return value
+
+
+class Outcomes:
+    """The rule's outcome on raw profiles by base-|A| code, each evaluated once.
+
+    Built by :func:`audit` for all of its checkers, or by a checker called
+    without one.
+    """
+
+    def __init__(self, rule: RuleFamily):
+        self.rule = rule
+        self.alphabet = rule.alphabet
+        self.k = len(rule.alphabet.alternatives)
+        self._digit = {s: d for d, s in enumerate(rule.alphabet.alternatives)}
+        self._levels: dict[int, _Level] = {}
+        self._counts: dict[int, list[tuple[int, ...]]] = {0: [(0,) * self.k]}
+
+    def reader(self, size: int, scan: bool = True) -> Callable[[int], str]:
+        """Outcome by code among the profiles of ``size`` ballots; raises what
+        the rule raised on that profile.  A checker that does not read the
+        size's codes in order, but probes some of them, passes ``scan=False``."""
+        level = self._levels.get(size)
+        if level is None:
+            level = self._levels[size] = _Level(self, size)
+        slots = level.slots
+
+        def read(code: int) -> str:
+            value = slots[code]
+            if value is _PENDING:
+                value = level.fill(code, scan)
+            if isinstance(value, Exception):
+                raise value
+            return value
+
+        return read
+
+    def digit(self, symbol: str) -> int:
+        """The digit of a ballot symbol; ValueError, as from ``core.extend``,
+        for a symbol outside the alphabet."""
+        try:
+            return self._digit[symbol]
+        except KeyError:
+            raise ValueError(f"symbol {symbol!r} not in alphabet") from None
+
+    def digits(self, size: int, code: int) -> list[int]:
+        """The ballots of the profile at ``code``, as alphabet indices."""
+        out = [0] * size
+        for i in range(size - 1, -1, -1):
+            code, out[i] = divmod(code, self.k)
+        return out
+
+    def profile(self, size: int, code: int) -> Profile:
+        symbol = self.alphabet.alternatives.__getitem__
+        return Profile(self.alphabet, tuple(map(symbol, self.digits(size, code))))
+
+    def counts(self, size: int) -> list[tuple[int, ...]]:
+        """Per code, the ballot count of every alternative, tie included."""
+        if size not in self._counts:
+            self._counts[size] = [c[:d] + (c[d] + 1,) + c[d + 1:]
+                                  for c in self.counts(size - 1) for d in range(self.k)]
+        return self._counts[size]
+
+    def relabelled(self, perm: AltPermutation, size: int) -> list[int]:
+        """Per code, the code of the profile with every ballot relabeled by ``perm``."""
+        sigma = [self._digit[s] for s in perm.mapping]
+        codes = [0]
+        for _ in range(size):
+            codes = [c * self.k + s for c in codes for s in sigma]
+        return codes
+
+
+def _table(rule: RuleFamily, n_max: int, sizes: range, outcomes: Outcomes | None) -> Outcomes:
+    """``outcomes``, or a new table for ``rule``, once the profile sizes a
+    checker reads are within budget (a negative bound raises there too)."""
+    profile_budget(rule.alphabet, n_max, sizes)
+    if outcomes is None:
+        return Outcomes(rule)
+    if outcomes.rule is not rule:
+        raise ValueError("the outcome table belongs to another rule")
+    return outcomes
+
+
+# --- checkers ---------------------------------------------------------------
+
+
 def _require_checkable(alphabet: Alphabet) -> None:
     if len(alphabet.non_bot) < 2:
-        raise VoteLabError(
+        raise RuleDomainError(
             f"checkers need at least 2 non-tie alternatives, got {alphabet.non_bot}"
         )
 
 
-def check_c2(rule: RuleFamily, n_max: int) -> CheckResult:
+def check_c2(rule: RuleFamily, n_max: int, *, outcomes: Outcomes | None = None) -> CheckResult:
     """Neutrality: relabeling non-tie alternatives relabels the outcome."""
     _require_checkable(rule.alphabet)
+    table = _table(rule, n_max, range(n_max + 1), outcomes)
     non_bot = rule.alphabet.non_bot
     perms = [
         AltPermutation.from_non_bot_images(rule.alphabet, images)
@@ -134,224 +278,245 @@ def check_c2(rule: RuleFamily, n_max: int) -> CheckResult:
     ]
     checked = 0
     for size in range(n_max + 1):
-        for p in profiles_of_size(rule.alphabet, size):
-            checked += 1
-            fx = rule.evaluate(p)
-            for perm in perms:
-                q = apply_alt_permutation(p, perm)
-                expected = perm.apply(fx)
-                observed = rule.evaluate(q)
-                if observed != expected:
-                    w = Witness(C2, p, q, alt_permutation=perm,
-                                expected=expected, observed=observed)
-                    return CheckResult(C2, "fail", w, checked)
+        witness, count = _relabel_scan(table, size, perms, C2)
+        checked += count
+        if witness is not None:
+            return CheckResult(C2, "fail", witness, checked)
     return CheckResult(C2, "pass", None, checked)
 
 
-def check_c3(rule: RuleFamily, n_max: int) -> CheckResult:
+def _relabel_scan(
+    table: Outcomes, size: int, perms: list[AltPermutation], axiom: str
+) -> tuple[Witness | None, int]:
+    """Relabeling at one profile size, with the profile count: the outcome of
+    each relabeled profile must be the relabeled outcome."""
+    read = table.reader(size)
+    images = [table.relabelled(perm, size) for perm in perms]
+    for code in range(table.k ** size):
+        fx = read(code)
+        for perm, image in zip(perms, images):
+            expected = perm.apply(fx)
+            observed = read(image[code])
+            if observed != expected:
+                w = Witness(axiom, table.profile(size, code), table.profile(size, image[code]),
+                            alt_permutation=perm, expected=expected, observed=observed)
+                return w, code + 1
+    return None, table.k ** size
+
+
+def check_c3(rule: RuleFamily, n_max: int, *, outcomes: Outcomes | None = None) -> CheckResult:
     """Anonymity: reordering the ballots never changes the outcome.
 
     Reorderings of a profile are exactly the profiles with the same ballot
-    multiset, so the outcome map is evaluated on every raw profile and checked
-    for constancy on each multiset class; the witness permutation is then
+    multiset, so the outcome map is read on every raw profile and checked for
+    constancy on each multiset class; the witness permutation is then
     reconstructed for the first offending profile.  This is equivalent to the
     quadratic profile-times-permutation loop, witness included.
     """
     _require_checkable(rule.alphabet)
+    table = _table(rule, n_max, range(n_max + 1), outcomes)
     checked = 0
     for size in range(n_max + 1):
-        witness, count = _multiset_scan(rule, size, C3)
+        witness, count = _multiset_scan(table, size, C3)
         checked += count
         if witness is not None:
             return CheckResult(C3, "fail", witness, checked)
     return CheckResult(C3, "pass", None, checked)
 
 
-def _multiset_scan(rule: RuleFamily, size: int, axiom: str) -> tuple[Witness | None, int]:
+def _multiset_scan(table: Outcomes, size: int, axiom: str) -> tuple[Witness | None, int]:
     """Voter-permutation invariance at one profile size, with the profile count.
 
-    Evaluates every profile of the size once and checks the outcome for
-    constancy on each ballot-multiset class.  The witness is the first
-    profile of an offending class with the first voter permutation that
-    changes its outcome.
+    Reads every profile of the size and checks the outcome for constancy on
+    each ballot-multiset class.  The witness is the first profile of an
+    offending class with the first voter permutation that changes its outcome.
     """
-    index = rule.alphabet.index
-    outcomes: dict[tuple[str, ...], str] = {}
-    class_value: dict[tuple[str, ...], str] = {}
-    bad_classes: set[tuple[str, ...]] = set()
-    for p in profiles_of_size(rule.alphabet, size):
-        value = rule.evaluate(p)
-        outcomes[p.ballots] = value
-        key = tuple(sorted(p.ballots, key=index))
+    read = table.reader(size)
+    outcomes = [read(code) for code in range(table.k ** size)]
+    keys = table.counts(size)
+    class_value: dict[tuple[int, ...], str] = {}
+    bad_classes: set[tuple[int, ...]] = set()
+    for key, value in zip(keys, outcomes):
         if class_value.setdefault(key, value) != value:
             bad_classes.add(key)
     if not bad_classes:
         return None, len(outcomes)
-    for ballots, fx in outcomes.items():
-        if tuple(sorted(ballots, key=index)) not in bad_classes:
+    for code, key in enumerate(keys):
+        if key not in bad_classes:
             continue
-        p = Profile(rule.alphabet, ballots)
+        fx = outcomes[code]
+        digits = table.digits(size, code)
         for mapping in itertools.permutations(range(size)):
-            perm = VoterPermutation(mapping)
-            q = apply_voter_permutation(p, perm)
-            observed = outcomes[q.ballots]
-            if observed != fx:
-                w = Witness(axiom, p, q, voter_permutation=perm, expected=fx, observed=observed)
+            moved = 0
+            for voter in mapping:
+                moved = moved * table.k + digits[voter]
+            if outcomes[moved] != fx:
+                w = Witness(axiom, table.profile(size, code), table.profile(size, moved),
+                            voter_permutation=VoterPermutation(mapping),
+                            expected=fx, observed=outcomes[moved])
                 return w, len(outcomes)
     return None, len(outcomes)
 
 
-def check_c4(rule: RuleFamily, n_max: int) -> CheckResult:
-    """Tie-ballot invariance: an added abstention never changes the outcome."""
+def _extension_scan(
+    rule: RuleFamily,
+    n_max: int,
+    outcomes: Outcomes | None,
+    axiom: str,
+    joining: Callable[[str], str | None],
+    broken: Callable[[str, str], bool],
+) -> CheckResult:
+    """One voter joins every profile below ``n_max`` with the ballot
+    ``joining(outcome)`` (None: no move); ``broken(before, after)`` fails it."""
     _require_checkable(rule.alphabet)
-    bot = rule.alphabet.bot
+    table = _table(rule, n_max, range(n_max + 1), outcomes)
     checked = 0
     for size in range(n_max):
-        for p in profiles_of_size(rule.alphabet, size):
+        read, read_joined = table.reader(size), table.reader(size + 1, scan=False)
+        for code in range(table.k ** size):
             checked += 1
-            before = rule.evaluate(p)
-            q = extend(p, bot)
-            after = rule.evaluate(q)
-            if after != before:
-                w = Witness(C4, p, q, expected=before, observed=after)
-                return CheckResult(C4, "fail", w, checked)
-    return CheckResult(C4, "pass", None, checked)
+            before = read(code)
+            ballot = joining(before)
+            if ballot is None:
+                continue
+            joined = code * table.k + table.digit(ballot)
+            after = read_joined(joined)
+            if broken(before, after):
+                w = Witness(axiom, table.profile(size, code), table.profile(size + 1, joined),
+                            expected=before, observed=after)
+                return CheckResult(axiom, "fail", w, checked)
+    return CheckResult(axiom, "pass", None, checked)
 
 
-def check_c5(rule: RuleFamily, n_max: int) -> CheckResult:
+def check_c4(rule: RuleFamily, n_max: int, *, outcomes: Outcomes | None = None) -> CheckResult:
+    """Tie-ballot invariance: an added abstention never changes the outcome."""
+    bot = rule.alphabet.bot
+    return _extension_scan(rule, n_max, outcomes, C4,
+                           lambda outcome: bot, lambda before, after: after != before)
+
+
+def check_c5(rule: RuleFamily, n_max: int, *, outcomes: Outcomes | None = None) -> CheckResult:
     """Consistency: a new voter echoing the current outcome preserves it.
 
     When the outcome is the tie symbol this coincides with the C4 move and is
     checked here as well.
     """
-    _require_checkable(rule.alphabet)
-    checked = 0
-    for size in range(n_max):
-        for p in profiles_of_size(rule.alphabet, size):
-            checked += 1
-            outcome = rule.evaluate(p)
-            q = extend(p, outcome)
-            after = rule.evaluate(q)
-            if after != outcome:
-                w = Witness(C5, p, q, expected=outcome, observed=after)
-                return CheckResult(C5, "fail", w, checked)
-    return CheckResult(C5, "pass", None, checked)
+    return _extension_scan(rule, n_max, outcomes, C5,
+                           lambda outcome: outcome, lambda before, after: after != before)
 
 
-def check_c6(rule: RuleFamily, n_max: int) -> CheckResult:
+def check_c6(rule: RuleFamily, n_max: int, *, outcomes: Outcomes | None = None) -> CheckResult:
     """Tie escapability: every tied profile has a conclusive one-voter extension.
 
     Probes extensions of size n_max + 1, so the rule must be evaluable there.
     """
     _require_checkable(rule.alphabet)
+    table = _table(rule, n_max, range(n_max + 2), outcomes)
     bot = rule.alphabet.bot
+    k = table.k
     checked = 0
     for size in range(n_max + 1):
-        for p in profiles_of_size(rule.alphabet, size):
+        read, read_joined = table.reader(size), table.reader(size + 1, scan=False)
+        for code in range(k ** size):
             checked += 1
-            if rule.evaluate(p) != bot:
+            if read(code) != bot:
                 continue
-            if any(rule.evaluate(extend(p, s)) != bot for s in rule.alphabet.alternatives):
+            if any(read_joined(code * k + d) != bot for d in range(k)):
                 continue
-            w = Witness(C6, p, None, expected=None, observed=bot)
+            w = Witness(C6, table.profile(size, code), None, expected=None, observed=bot)
             return CheckResult(C6, "fail", w, checked)
     return CheckResult(C6, "pass", None, checked)
 
 
-def check_plurality_property(rule: RuleFamily, n_max: int) -> CheckResult:
+def check_plurality_property(
+    rule: RuleFamily, n_max: int, *, outcomes: Outcomes | None = None
+) -> CheckResult:
     """Conclusive outcomes must be the strict plurality winner."""
     _require_checkable(rule.alphabet)
-    bot = rule.alphabet.bot
+    table = _table(rule, n_max, range(n_max + 1), outcomes)
+    alphabet = rule.alphabet
+    bot = alphabet.bot
     checked = 0
     for size in range(n_max + 1):
-        for p in profiles_of_size(rule.alphabet, size):
+        read = table.reader(size)
+        for code, counts in enumerate(table.counts(size)):
             checked += 1
-            outcome = rule.evaluate(p)
+            outcome = read(code)
             if outcome == bot:
                 continue
-            winner = strict_plurality(tally(p))
+            winner = strict_plurality(Tally(alphabet, counts))
             if winner != outcome:
-                w = Witness(PLURALITY_PROPERTY, p, None,
+                w = Witness(PLURALITY_PROPERTY, table.profile(size, code), None,
                             expected=winner if winner is not None else bot,
                             observed=outcome)
                 return CheckResult(PLURALITY_PROPERTY, "fail", w, checked)
     return CheckResult(PLURALITY_PROPERTY, "pass", None, checked)
 
 
-def check_unavoidable_ties(rule: RuleFamily, n_max: int) -> CheckResult:
+def check_unavoidable_ties(
+    rule: RuleFamily, n_max: int, *, outcomes: Outcomes | None = None
+) -> CheckResult:
     """A shared top count forces the tie outcome."""
     _require_checkable(rule.alphabet)
+    table = _table(rule, n_max, range(n_max + 1), outcomes)
     bot = rule.alphabet.bot
+    non_bot = [table.digit(s) for s in rule.alphabet.non_bot]
     checked = 0
     for size in range(n_max + 1):
-        for p in profiles_of_size(rule.alphabet, size):
+        read = table.reader(size)
+        for code, counts in enumerate(table.counts(size)):
             checked += 1
-            t = tally(p)
-            counts = [t.count(s) for s in rule.alphabet.non_bot]
-            top = max(counts)
-            if counts.count(top) < 2:
+            tops = [counts[d] for d in non_bot]
+            if tops.count(max(tops)) < 2:
                 continue
-            outcome = rule.evaluate(p)
+            outcome = read(code)
             if outcome != bot:
-                w = Witness(UNAVOIDABLE_TIES, p, None, expected=bot, observed=outcome)
+                w = Witness(UNAVOIDABLE_TIES, table.profile(size, code), None,
+                            expected=bot, observed=outcome)
                 return CheckResult(UNAVOIDABLE_TIES, "fail", w, checked)
     return CheckResult(UNAVOIDABLE_TIES, "pass", None, checked)
 
 
-def check_tie_closure(rule: RuleFamily, n_max: int) -> CheckResult:
+def check_tie_closure(
+    rule: RuleFamily, n_max: int, *, outcomes: Outcomes | None = None
+) -> CheckResult:
     """No conclusive outcome collapses to a tie when its own supporter joins.
 
     A logical consequence of C5; checked independently so the implication can
     be tested rather than assumed.
     """
-    _require_checkable(rule.alphabet)
     bot = rule.alphabet.bot
-    checked = 0
-    for size in range(n_max):
-        for p in profiles_of_size(rule.alphabet, size):
-            checked += 1
-            outcome = rule.evaluate(p)
-            if outcome == bot:
-                continue
-            q = extend(p, outcome)
-            after = rule.evaluate(q)
-            if after == bot:
-                w = Witness(TIE_CLOSURE, p, q, expected=outcome, observed=after)
-                return CheckResult(TIE_CLOSURE, "fail", w, checked)
-    return CheckResult(TIE_CLOSURE, "pass", None, checked)
+    return _extension_scan(rule, n_max, outcomes, TIE_CLOSURE,
+                           lambda outcome: None if outcome == bot else outcome,
+                           lambda before, after: after == bot)
 
 
 def _require_may(rule: RuleFamily) -> None:
     a = rule.alphabet
     if set(a.alternatives) != {"-1", "0", "1"} or a.bot != "0":
-        raise VoteLabError("May-style checks need the {-1, 0, 1} alphabet with tie 0")
+        raise RuleDomainError("May-style checks need the {-1, 0, 1} alphabet with tie 0")
 
 
-def check_ma2(rule: RuleFamily, n: int) -> CheckResult:
+def check_ma2(rule: RuleFamily, n: int, *, outcomes: Outcomes | None = None) -> CheckResult:
     """May's symmetry at exact size n: full voter-permutation invariance."""
     _require_may(rule)
-    witness, checked = _multiset_scan(rule, n, MA2)
+    table = _table(rule, n, range(n, n + 1), outcomes)
+    witness, checked = _multiset_scan(table, n, MA2)
     return CheckResult(MA2, "pass" if witness is None else "fail", witness, checked)
 
 
-def check_ma3(rule: RuleFamily, n: int) -> CheckResult:
+def check_ma3(rule: RuleFamily, n: int, *, outcomes: Outcomes | None = None) -> CheckResult:
     """May's neutrality at exact size n: negating every ballot negates the outcome."""
     _require_may(rule)
+    table = _table(rule, n, range(n, n + 1), outcomes)
     negate = AltPermutation.swap(rule.alphabet, "-1", "1")
-    checked = 0
-    for p in profiles_of_size(rule.alphabet, n):
-        checked += 1
-        q = apply_alt_permutation(p, negate)
-        expected = negate.apply(rule.evaluate(p))
-        observed = rule.evaluate(q)
-        if observed != expected:
-            w = Witness(MA3, p, q, alt_permutation=negate,
-                        expected=expected, observed=observed)
-            return CheckResult(MA3, "fail", w, checked)
-    return CheckResult(MA3, "pass", None, checked)
+    witness, checked = _relabel_scan(table, n, [negate], MA3)
+    return CheckResult(MA3, "pass" if witness is None else "fail", witness, checked)
 
 
-def check_ma4(rule: RuleFamily, n: int, semantics: str = "in_favor") -> CheckResult:
+def check_ma4(
+    rule: RuleFamily, n: int, semantics: str = "in_favor", *, outcomes: Outcomes | None = None
+) -> CheckResult:
     """May's positive responsiveness at exact size n.
 
     ``flip`` relates profiles where one voter swings fully between -1 and 1;
@@ -362,30 +527,30 @@ def check_ma4(rule: RuleFamily, n: int, semantics: str = "in_favor") -> CheckRes
     _require_may(rule)
     if semantics not in ("flip", "in_favor"):
         raise VoteLabError(f"unknown Ma4 semantics {semantics!r}")
+    table = _table(rule, n, range(n, n + 1), outcomes)
+    k = table.k
+    value = [int(s) for s in rule.alphabet.alternatives]
+    read = table.reader(n)
     checked = 0
-    for p in profiles_of_size(rule.alphabet, n):
+    for code in range(k ** n):
         checked += 1
-        fx = rule.evaluate(p)
-        for v in range(n):
-            old = p.ballots[v]
-            for new in rule.alphabet.alternatives:
+        fx = read(code)
+        for v, old in enumerate(table.digits(n, code)):
+            for new in range(k):
                 if new == old:
                     continue
-                if semantics == "flip" and (old == "0" or new != _negate_symbol(old)):
+                if semantics == "flip" and (value[old] == 0 or value[new] != -value[old]):
                     continue
-                direction = "1" if int(new) > int(old) else "-1"
+                direction = "1" if value[new] > value[old] else "-1"
                 if fx not in ("0", direction):
                     continue
-                q = Profile(p.alphabet, p.ballots[:v] + (new,) + p.ballots[v + 1:])
-                observed = rule.evaluate(q)
+                moved = code + (new - old) * k ** (n - 1 - v)
+                observed = read(moved)
                 if observed != direction:
-                    w = Witness(MA4, p, q, expected=direction, observed=observed)
+                    w = Witness(MA4, table.profile(n, code), table.profile(n, moved),
+                                expected=direction, observed=observed)
                     return CheckResult(MA4, "fail", w, checked)
     return CheckResult(MA4, "pass", None, checked)
-
-
-def _negate_symbol(symbol: str) -> str:
-    return {"-1": "1", "1": "-1", "0": "0"}[symbol]
 
 
 @dataclass(frozen=True)
@@ -496,57 +661,61 @@ def replay_main_proof(rule: RuleFamily, profile: Profile) -> ReplayResult:
     )
 
 
+
+
 def audit(
     rule: RuleFamily,
     axioms: tuple[str, ...],
     n_max: int,
     ma4_semantics: str = "in_favor",
 ) -> AuditReport:
-    """Run the selected checkers; checker errors are recorded per axiom and do
-    not abort the remaining ones.  A negative bound raises BoundError up front,
-    so it never yields a vacuous pass."""
-    if n_max < 0:
-        raise BoundError(f"max voters {n_max} is negative")
+    """Run the selected checkers on one shared outcome table, so each raw
+    profile is evaluated at most once.  Checker errors are recorded per axiom
+    and do not abort the remaining ones.  A negative bound, or one whose
+    profiles exceed the budget, raises BoundError before any evaluation, so it
+    never yields a vacuous pass."""
+    profile_budget(rule.alphabet, n_max, range(n_max + (2 if C6 in axioms else 1)))
     for a in axioms:
         if a not in ALL_AXIOMS:
             raise VoteLabError(f"unknown axiom {a!r}")
+    outcomes = Outcomes(rule)
     results = []
     for axiom in ALL_AXIOMS:
         if axiom not in axioms:
             continue
         try:
-            results.append(_run_one(rule, axiom, n_max, ma4_semantics))
+            results.append(_run_one(rule, axiom, n_max, ma4_semantics, outcomes))
         except (VoteLabError, ValueError) as exc:
-            results.append(CheckResult(axiom, "error", None, 0, error=str(exc)))
+            results.append(CheckResult(axiom, "error", None, 0, error=str(exc),
+                                       error_type=type(exc)))
     return AuditReport(rule.descriptor, rule.alphabet, n_max, tuple(results))
 
 
-def _run_one(rule: RuleFamily, axiom: str, n_max: int, ma4_semantics: str) -> CheckResult:
-    if axiom == C2:
-        return check_c2(rule, n_max)
-    if axiom == C3:
-        return check_c3(rule, n_max)
-    if axiom == C4:
-        return check_c4(rule, n_max)
-    if axiom == C5:
-        return check_c5(rule, n_max)
-    if axiom == C6:
-        return check_c6(rule, n_max)
-    if axiom == PLURALITY_PROPERTY:
-        return check_plurality_property(rule, n_max)
-    if axiom == UNAVOIDABLE_TIES:
-        return check_unavoidable_ties(rule, n_max)
-    if axiom == TIE_CLOSURE:
-        return check_tie_closure(rule, n_max)
+def _run_one(
+    rule: RuleFamily, axiom: str, n_max: int, ma4_semantics: str, outcomes: Outcomes
+) -> CheckResult:
+    # Built on each call, so a wrapper later bound to a checker's module-level
+    # name is the one called.
+    checkers: dict[str, Callable[..., CheckResult]] = {
+        C2: check_c2,
+        C3: check_c3,
+        C4: check_c4,
+        C5: check_c5,
+        C6: check_c6,
+        PLURALITY_PROPERTY: check_plurality_property,
+        UNAVOIDABLE_TIES: check_unavoidable_ties,
+        TIE_CLOSURE: check_tie_closure,
+        MA2: check_ma2,
+        MA3: check_ma3,
+        MA4: lambda r, n, outcomes: check_ma4(r, n, ma4_semantics, outcomes=outcomes),
+    }
+    check = checkers[axiom]
+    if axiom not in MA_AXIOMS:
+        return check(rule, n_max, outcomes=outcomes)
     # May checks quantify over exact sizes; audit sweeps every size in bounds.
     checked = 0
     for n in range(n_max + 1):
-        if axiom == MA2:
-            res = check_ma2(rule, n)
-        elif axiom == MA3:
-            res = check_ma3(rule, n)
-        else:
-            res = check_ma4(rule, n, ma4_semantics)
+        res = check(rule, n, outcomes=outcomes)
         checked += res.profiles_checked
         if res.status != "pass":
             return CheckResult(axiom, res.status, res.witness, checked, res.error)

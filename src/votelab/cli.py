@@ -339,12 +339,19 @@ def parse_axiom_list(raw: str) -> tuple[str, ...]:
 # --- subcommands ------------------------------------------------------------
 
 
+def _make_alphabet(num_alternatives: int) -> Alphabet:
+    try:
+        return Alphabet.make(num_alternatives)
+    except ValueError as exc:
+        raise RuleDomainError(str(exc)) from exc
+
+
 def _alphabet_for(rule_descriptor: str, num_alternatives: int) -> Alphabet | None:
     if rule_descriptor == "may-sign":
         return Alphabet.may()
     if rule_descriptor.startswith("tabulated:"):
         return None  # the family file carries its own alphabet
-    return Alphabet.make(num_alternatives)
+    return _make_alphabet(num_alternatives)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -372,13 +379,16 @@ def cmd_audit(args: argparse.Namespace) -> int:
         "ma4_semantics": args.ma4_semantics,
     }
     _emit(audit_json(report, parameters), args.out)
-    if report.any_error:
-        return EXIT_BOUNDS
+    errors = [r.error_type for r in report.results if r.status == "error"]
+    if errors:
+        # bounds only when every error is one; an ill-formed rule or alphabet is input
+        bounds = all(issubclass(e, (HorizonError, BoundError)) for e in errors)
+        return EXIT_BOUNDS if bounds else EXIT_INPUT
     return EXIT_AXIOM_FAIL if report.any_fail else EXIT_OK
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    alphabet = Alphabet.make(args.alternatives)
+    alphabet = _make_alphabet(args.alternatives)
     fs = enumerate_c_families(alphabet, args.horizon, with_c6=args.with_c6)
     artifacts = plurality_artifacts(fs)
     artifact_sigs = {f.value_tuple(): sig for f, sig in artifacts}
@@ -469,7 +479,7 @@ def cmd_arrow_search(args: argparse.Namespace) -> int:
 
 
 def cmd_order(args: argparse.Namespace) -> int:
-    alphabet = Alphabet.make(args.alternatives)
+    alphabet = _make_alphabet(args.alternatives)
     rule_a = parse_rule(args.rule_a, alphabet)
     rule_b = parse_rule(args.rule_b, alphabet)
     holds, witness = rule_leq(rule_a, rule_b, args.max_voters)

@@ -235,6 +235,34 @@ def profiles_of_size(alphabet: Alphabet, size: int) -> Iterator[Profile]:
         yield Profile(alphabet, ballots)
 
 
+PROFILE_BUDGET = 400_000
+"""Most raw profiles one run may touch.  It admits every bound the tests, the
+README examples and the benchmark use, and 3 alternatives at n=8 with C6
+(349,525 profiles), whose outcome table then holds every one of them."""
+
+
+def profile_budget(alphabet: Alphabet, n_max: int, sizes: range) -> int:
+    """Sum of k^s over ``sizes`` (k = |A|): the raw profiles of the sizes that a
+    run under the voter bound ``n_max`` touches.
+
+    Raises BoundError, before any profile is evaluated, for a negative bound,
+    which would otherwise pass vacuously, and for a sum over PROFILE_BUDGET.
+    """
+    if n_max < 0:
+        raise BoundError(f"max voters {n_max} is negative")
+    k = len(alphabet.alternatives)
+    total = 0
+    for size in sizes:
+        # k >= 2, so from this size on one level alone is over the budget
+        total += k ** size if size < PROFILE_BUDGET.bit_length() else PROFILE_BUDGET + 1
+        if total > PROFILE_BUDGET:
+            raise BoundError(
+                f"max voters {n_max} over {k} ballot symbols exceeds the budget "
+                f"of {PROFILE_BUDGET} profiles"
+            )
+    return total
+
+
 def profiles_up_to(alphabet: Alphabet, n_max: int) -> Iterator[Profile]:
     """All profiles with at most ``n_max`` ballots, by size then lexicographic."""
     for size in range(n_max + 1):

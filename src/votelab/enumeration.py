@@ -19,6 +19,7 @@ from .core import (
     Profile,
     VoteLabError,
     compositions,
+    profile_budget,
     profiles_up_to,
     signatures_up_to,
     table_values,
@@ -161,10 +162,11 @@ def _cross_check_may(table: MayFunctionTable, semantics: str) -> None:
     """Independent route: the raw-profile checkers must agree with the
     table-level enumeration constraints."""
     rule = table.as_rule()
+    outcomes = axioms.Outcomes(rule)
     for res in (
-        axioms.check_ma2(rule, table.n),
-        axioms.check_ma3(rule, table.n),
-        axioms.check_ma4(rule, table.n, semantics),
+        axioms.check_ma2(rule, table.n, outcomes=outcomes),
+        axioms.check_ma3(rule, table.n, outcomes=outcomes),
+        axioms.check_ma4(rule, table.n, semantics, outcomes=outcomes),
     ):
         if not res.passed:
             raise VoteLabError(
@@ -316,11 +318,10 @@ def rule_leq(f: RuleFamily, g: RuleFamily, n_max: int) -> tuple[bool, Profile | 
     """Whether f is at most g: wherever f is conclusive, g agrees.
 
     On failure returns the minimal profile (smallest size, lexicographically
-    first) where f is conclusive and differs from g.  A negative bound
-    raises BoundError rather than holding vacuously.
+    first) where f is conclusive and differs from g.  A negative bound, or
+    one over the profile budget, raises BoundError before any evaluation.
     """
-    if n_max < 0:
-        raise BoundError(f"max voters {n_max} is negative")
+    profile_budget(f.alphabet, n_max, range(n_max + 1))
     if f.alphabet != g.alphabet:
         raise VoteLabError("rules must share an alphabet to be compared")
     bot = f.alphabet.bot

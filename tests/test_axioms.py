@@ -5,11 +5,13 @@ import pytest
 
 from votelab.core import (
     Alphabet,
+    BoundError,
     Profile,
     VoteLabError,
     VoterPermutation,
     apply_voter_permutation,
     extend,
+    profile_budget,
     profiles_of_size,
     profiles_up_to,
     signature,
@@ -373,6 +375,37 @@ class TestAudit:
     def test_rejects_unknown_axiom(self):
         with pytest.raises(VoteLabError):
             audit(PureMajorityRule(AB2), ("C9",), 3)
+
+
+ALL_CHECKERS = [check_c2, check_c3, check_c4, check_c5, check_c6, check_plurality_property,
+                check_unavoidable_ties, check_tie_closure, check_ma2, check_ma3, check_ma4]
+
+
+class TestBounds:
+    @pytest.mark.parametrize("check", ALL_CHECKERS, ids=lambda c: c.__name__)
+    def test_negative_bound_raises(self, check):
+        rule = MaySignRule() if check.__name__.startswith("check_ma") else PureMajorityRule(AB2)
+        with pytest.raises(BoundError):
+            check(rule, -1)
+        assert check(rule, 0).passed
+
+    @pytest.mark.parametrize("check", ALL_CHECKERS, ids=lambda c: c.__name__)
+    def test_over_budget_raises_before_evaluating(self, check):
+        calls = []
+        alphabet = MAY if check.__name__.startswith("check_ma") else AB3
+        rule = FunctionRule(alphabet, lambda p: calls.append(p) or alphabet.bot, "counting")
+        with pytest.raises(BoundError):
+            check(rule, 20)
+        assert calls == []
+
+    def test_audit_budget_counts_the_c6_probes(self):
+        # 3 ballot symbols at n=11: 265,720 profiles, 797,161 with the n=12 probes
+        assert profile_budget(AB2, 11, range(12)) == 265_720
+        calls = []
+        rule = FunctionRule(AB2, lambda p: calls.append(p) or "_", "counting")
+        with pytest.raises(BoundError):
+            audit(rule, ("C2", "C6"), 11)
+        assert calls == []
 
 
 class TestTheoremAtDeskScale:

@@ -255,6 +255,49 @@ class TestBoundsAndDocs:
         assert "true" not in capsys.readouterr().out
         assert not out.exists()
 
+    def test_audit_over_budget_exits_3_without_report(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["audit", "--rule", "pure-majority", "--alternatives", "3",
+                     "--max-voters", "20", "--out", str(out)]) == 3
+        assert not out.exists()
+
+    def test_order_over_budget_exits_3(self, capsys, tmp_path):
+        out = tmp_path / "o.json"
+        assert main(["order", "pure-majority", "pure-majority", "--alternatives", "3",
+                     "--max-voters", "20", "--out", str(out)]) == 3
+        assert "true" not in capsys.readouterr().out
+        assert not out.exists()
+
+    def test_audit_without_alternatives_exits_2(self, capsys, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["audit", "--rule", "pure-majority", "--alternatives", "0",
+                     "--max-voters", "2", "--out", str(out)]) == 2
+        assert "between 1 and 26" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_audit_with_one_alternative_exits_2(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["audit", "--rule", "pure-majority", "--alternatives", "1",
+                     "--max-voters", "2", "--out", str(out)]) == 2
+        doc = json.loads(out.read_text())
+        assert {r["status"] for r in doc["results"]} == {"error"}
+
+    def test_ill_formed_supermajority_exits_2(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["audit", "--rule", "supermajority:all:1/3", "--alternatives", "3",
+                     "--max-voters", "3", "--out", str(out)]) == 2
+        doc = json.loads(out.read_text())
+        assert all("ill-formed" in r["error"] for r in doc["results"])
+
+    def test_audit_beyond_family_horizon_exits_3(self, tmp_path):
+        # C6 probes one voter beyond the bound, beyond this table's horizon
+        fam_path = write(tmp_path, "fam.json", json.dumps(family_json(pure_majority_table(AB2, 4))))
+        out = tmp_path / "r.json"
+        assert main(["audit", "--rule", f"tabulated:{fam_path}", "--max-voters", "4",
+                     "--axioms", "C2-C6", "--out", str(out)]) == 3
+        doc = json.loads(out.read_text())
+        assert [r["status"] for r in doc["results"]] == ["pass"] * 4 + ["error"]
+
     def test_enumerate_document(self, tmp_path):
         out = str(tmp_path / "e.json")
         assert main(["enumerate", "--alternatives", "2", "--horizon", "2",

@@ -5,14 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from votelab.core import (
+    PROFILE_BUDGET,
     Alphabet,
     AltPermutation,
+    BoundError,
     Profile,
     VoterPermutation,
     apply_alt_permutation,
     apply_voter_permutation,
     compositions,
     extend,
+    profile_budget,
     profile_for_signature,
     profiles_up_to,
     signature,
@@ -193,6 +196,24 @@ class TestCanonicalOrder:
         assert isinstance(sigs, tuple)
         assert signatures_up_to(AB3, 4) is sigs
         assert signatures_up_to(Alphabet.make(3), 4) is sigs
+
+
+class TestProfileBudget:
+    def test_counts_every_size_touched(self):
+        assert profile_budget(AB2, 3, range(4)) == 1 + 3 + 9 + 27
+        assert profile_budget(Alphabet.may(), 4, range(4, 5)) == 81
+        # 3 alternatives at n=8 with the C6 probes at n=9 is admitted
+        assert profile_budget(AB3, 8, range(10)) == 349_525 <= PROFILE_BUDGET
+
+    def test_refuses_over_budget_and_negative_bounds(self):
+        with pytest.raises(BoundError):
+            profile_budget(AB3, 9, range(11))
+        with pytest.raises(BoundError):
+            profile_budget(AB2, 10**12, range(10**12 + 1))
+        with pytest.raises(BoundError):
+            profile_budget(Alphabet.may(), 10**12, range(10**12, 10**12 + 1))
+        with pytest.raises(BoundError):
+            profile_budget(AB2, -1, range(1))
 
 
 class TestStrictPlurality:

@@ -210,10 +210,10 @@ class TestFamilyEnumeration:
         # matching the enumeration horizon
         fs = enumerate_c_families(AB2, 6)
         for fam in fs.families:
-            rule = TabulatedRule(fam)
-            for check in (axioms.check_c2, axioms.check_c3,
-                          axioms.check_c4, axioms.check_c5):
-                assert check(rule, 6).passed, fam.value_tuple()
+            report = axioms.audit(TabulatedRule(fam), ("C2", "C3", "C4", "C5"), 6)
+            assert [r.axiom for r in report.results] == ["C2", "C3", "C4", "C5"]
+            for result in report.results:
+                assert result.passed, (result.axiom, fam.value_tuple())
 
     def test_half_horizon_soundness(self):
         # conclusive-against-the-winner cells exist only above half horizon
