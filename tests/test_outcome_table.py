@@ -10,6 +10,7 @@ profile at most once.
 """
 
 import itertools
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -461,3 +462,18 @@ def test_errors_are_kept_and_raised_on_every_read():
     assert {r.error for r in report.results} == {"no pairs"}
     assert {r.error_type for r in report.results} == {RuleDomainError}
     assert max(calls.values()) == 1
+
+
+def test_relabelling_needs_memory_of_the_table_not_of_every_image():
+    # 4 alternatives: 23 relabelings, whose image codes are computed as read
+    # rather than held for a whole level per relabeling
+    n_max = 5
+    rule = FunctionRule(Alphabet.make(4), lambda p: "_", "always-tie")
+    tracemalloc.start()
+    try:
+        result = axioms.check_c2(rule, n_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == CheckResult("C2", "pass", None, sum(5 ** s for s in range(n_max + 1)))
+    assert peak < 32 * result.profiles_checked
