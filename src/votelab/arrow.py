@@ -5,6 +5,20 @@ Weak orders are total preorders, stored as ordered indifference blocks (best
 block first).  Throughout, the pair (a, b) belonging to a social order means
 "a is at least as good as b" (weak preference); stances on an ordered pair are
 encoded +1 (strictly better), 0 (indifferent), -1 (strictly worse).
+
+The checkers read per-domain order tables, built once per (alternatives, n) on
+first use: the weak orders and their index, each order's stance on every
+ordered pair, each order's single-pair-change neighbours with the (hi, lo)
+moves that responsiveness tests, and which orders honour which under either
+dictator premise.  A profile is addressed by its base-m code (m weak orders,
+voter 0 the most significant digit: the order of ``sorted_profiles``), so
+voter v switching from order i to order j leads from ``code`` to
+``code + (j - i)*m^(n-1-v)``.  During one check the SWF is evaluated on each
+profile once, when its code is first read, in the order in which a
+per-profile loop would first evaluate it; a social order outside the index
+(blocks listed in another order, other alternatives) is read through
+``WeakOrder.stance`` pair by pair, so verdicts and raised errors do not depend
+on the tables.
 """
 
 from __future__ import annotations
@@ -13,7 +27,7 @@ import functools
 import hashlib
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import BoundError
 
@@ -48,6 +62,9 @@ class WeakOrder:
         raise KeyError(symbol)
 
     def stance(self, a: str, b: str) -> Stance:
+        """The order's stance on the pair: +1 a above b, 0 tied, -1 below."""
+        if a == b:
+            raise ValueError("a stance needs two distinct alternatives")
         la, lb = self.level(a), self.level(b)
         return (la < lb) - (la > lb)
 
@@ -60,13 +77,6 @@ class WeakOrder:
 
     def __str__(self) -> str:
         return " > ".join(" = ".join(block) for block in self.blocks)
-
-
-def restrict(order: WeakOrder, a: str, b: str) -> Stance:
-    """The order's stance on the pair: +1 a above b, 0 tied, -1 below."""
-    if a == b:
-        raise ValueError("restriction needs two distinct alternatives")
-    return order.stance(a, b)
 
 
 def enumerate_weak_orders(alternatives: tuple[str, ...]) -> tuple[WeakOrder, ...]:
@@ -220,83 +230,168 @@ def _unordered_pairs(alternatives: tuple[str, ...]) -> list[tuple[str, str]]:
     return list(itertools.combinations(alternatives, 2))
 
 
+# --- order tables -------------------------------------------------------------
+
+_Slot = tuple[int | None, Sequence[Stance]]  # (order index or None, stance row)
+_PREMISE_FLOOR = {"strict": 1, "weak": 0}  # least stance a premise pair needs
+
+
+class _OrderTables:
+    """What the checkers read about the weak orders on ``alternatives`` and the
+    order profiles of ``n`` voters; see the module docstring."""
+
+    def __init__(self, alternatives: tuple[str, ...], n: int):
+        self.orders = enumerate_weak_orders(alternatives)
+        self.index = {w: i for i, w in enumerate(self.orders)}
+        self.pairs = tuple(_ordered_pairs(alternatives))
+        self.pair_index = {q: p for p, q in enumerate(self.pairs)}
+        self.stances = tuple(tuple(w.stance(a, b) for a, b in self.pairs) for w in self.orders)
+        self.order_slots: tuple[_Slot, ...] = tuple(enumerate(self.stances))
+        # per order: (replacement, ordered pairs (hi, lo) the voter moves
+        # toward hi) for every replacement that changes one unordered pair only
+        both_ways = [(self.pair_index[(a, b)], self.pair_index[(b, a)])
+                     for a, b in _unordered_pairs(alternatives)]
+        neighbours = []
+        for si in self.stances:
+            neighbours.append([])
+            for j, sj in enumerate(self.stances):
+                changed = [q for q in both_ways if si[q[0]] != sj[q[0]]]
+                if len(changed) == 1:  # never the order itself
+                    # from weakly-lo-over-hi to weakly-hi-over-lo
+                    moves = tuple(p for p in changed[0] if si[p] <= 0 and sj[p] >= 0)
+                    neighbours[-1].append((j, moves))
+        self.neighbours = tuple(map(tuple, neighbours))
+        # per premise: each order's premise pairs, and honours[i][j] when
+        # order j keeps every premise pair of order i
+        self.premises = {}
+        self.honours = {}
+        for premise, floor in _PREMISE_FLOOR.items():
+            pairs = tuple(tuple(p for p, s in enumerate(row) if s >= floor)
+                          for row in self.stances)
+            self.premises[premise] = pairs
+            self.honours[premise] = tuple(
+                tuple(all(row[p] >= floor for p in own) for row in self.stances) for own in pairs
+            )
+        self.profiles = sorted_profiles(alternatives, n)
+        m = len(self.orders)
+        self.weights = tuple(m ** (n - 1 - v) for v in range(n))
+        self.digits = tuple(itertools.product(range(m), repeat=n))
+        # per ordered pair, per code: the voters' stances on the pair
+        self.voter_stances = tuple(
+            tuple(tuple(self.stances[i][p] for i in x) for x in self.digits)
+            for p in range(len(self.pairs))
+        )
+
+
+@functools.lru_cache(maxsize=None)
+def _tables(alternatives: tuple[str, ...], n: int) -> _OrderTables:
+    return _OrderTables(alternatives, n)
+
+
+class _ForeignStances:
+    """Stance row of a social order outside the order index, read pair by pair
+    through ``WeakOrder.stance``."""
+
+    __slots__ = ("order", "pairs")
+
+    def __init__(self, order: WeakOrder, pairs: tuple[tuple[str, str], ...]):
+        self.order = order
+        self.pairs = pairs
+
+    def __getitem__(self, p: int) -> Stance:
+        return self.order.stance(*self.pairs[p])
+
+
+def _social(swf: SWF, tables: _OrderTables) -> Callable[[int], _Slot]:
+    """The SWF's order at a profile code as (order index, stance row), evaluated
+    the first time the code is read and kept for the rest of the check."""
+    profiles, index, known = tables.profiles, tables.index, tables.order_slots
+    slots: list[_Slot | None] = [None] * len(profiles)
+
+    def read(code: int) -> _Slot:
+        slot = slots[code]
+        if slot is None:
+            order = swf.evaluate(profiles[code])
+            try:
+                i = index.get(order)
+            except TypeError:  # unhashable, so not an indexed order
+                i = None
+            slot = known[i] if i is not None else (None, _ForeignStances(order, tables.pairs))
+            slots[code] = slot
+        return slot
+
+    return read
+
+
+# --- checkers -------------------------------------------------------------------
+
+
 def check_a2(swf: SWF) -> ArrowCheckResult:
     """Nonnegative responsiveness: a single voter moving one pair's stance in
     favor of a socially weakly-preferred alternative cannot overturn it."""
-    orders = enumerate_weak_orders(swf.alternatives)
-    pairs = _unordered_pairs(swf.alternatives)
-    checked = 0
-    for x in sorted_profiles(swf.alternatives, swf.n):
-        checked += 1
-        fx = swf.evaluate(x)
-        for v in range(swf.n):
-            for replacement in orders:
-                if replacement == x[v]:
-                    continue
-                changed = [
-                    q for q in pairs
-                    if x[v].stance(q[0], q[1]) != replacement.stance(q[0], q[1])
-                ]
-                if len(changed) != 1:
-                    continue
-                a, b = changed[0]
-                y = x[:v] + (replacement,) + x[v + 1:]
-                fy = swf.evaluate(y)
-                for hi, lo in ((a, b), (b, a)):
-                    # voter moves from weakly-lo-over-hi to weakly-hi-over-lo
-                    if x[v].stance(hi, lo) > 0 or replacement.stance(hi, lo) < 0:
-                        continue
-                    if fx.weakly_prefers(hi, lo) and not fy.weakly_prefers(hi, lo):
+    domain = _tables(swf.alternatives, swf.n)
+    read = _social(swf, domain)
+    neighbours, weights = domain.neighbours, domain.weights
+    for code, x in enumerate(domain.digits):
+        fx = read(code)[1]
+        for v, i in enumerate(x):
+            for j, moves in neighbours[i]:
+                other = code + (j - i) * weights[v]
+                fy = read(other)[1]
+                for p in moves:
+                    if fx[p] >= 0 and fy[p] < 0:
+                        hi, lo = domain.pairs[p]
                         w = ArrowWitness(
-                            x, y, (hi, lo),
+                            domain.profiles[code], domain.profiles[other], (hi, lo),
                             f"voter {v} moved toward {hi} over {lo} but the social "
                             f"stance dropped it",
                         )
-                        return ArrowCheckResult("A2", "fail", w, checked)
-    return ArrowCheckResult("A2", "pass", None, checked)
+                        return ArrowCheckResult("A2", "fail", w, code + 1)
+    return ArrowCheckResult("A2", "pass", None, len(domain.profiles))
 
 
-def _pair_factor(swf: SWF, profiles: tuple[ArrowProfile, ...], a: str,
-                 b: str) -> tuple[PairTable, tuple[ArrowProfile, ArrowProfile] | None]:
-    """The social stance on (a, b) as a table over the voters' stances on the
-    pair, or the first two profiles sharing voter stances but not the social one."""
+def _pair_factor(read: Callable[[int], _Slot], tables: _OrderTables,
+                 p: int) -> tuple[PairTable, tuple[int, int] | None]:
+    """The social stance on ordered pair p as a table over the voters' stances
+    on the pair, or the codes of the first two profiles sharing voter stances
+    but not the social one."""
     table: PairTable = {}
-    first: dict[tuple[Stance, ...], ArrowProfile] = {}
-    for x in profiles:
-        key = tuple(w.stance(a, b) for w in x)
-        social = swf.evaluate(x).stance(a, b)
+    first: dict[tuple[Stance, ...], int] = {}
+    for code, key in enumerate(tables.voter_stances[p]):
+        social = read(code)[1][p]
         if table.setdefault(key, social) != social:
-            return table, (first[key], x)
-        first.setdefault(key, x)
+            return table, (first[key], code)
+        first.setdefault(key, code)
     return table, None
 
 
 def check_a3(swf: SWF) -> ArrowCheckResult:
     """Pair independence: the social stance on a pair depends only on the
     voters' stances on that pair."""
-    profiles = sorted_profiles(swf.alternatives, swf.n)
-    checked = len(profiles)
+    domain = _tables(swf.alternatives, swf.n)
+    read = _social(swf, domain)
     for a, b in _unordered_pairs(swf.alternatives):
-        _, conflict = _pair_factor(swf, profiles, a, b)
+        _, conflict = _pair_factor(read, domain, domain.pair_index[(a, b)])
         if conflict is not None:
             w = ArrowWitness(
-                *conflict, (a, b),
+                *(domain.profiles[code] for code in conflict), (a, b),
                 f"same voter stances on ({a}, {b}) but social stance differs",
             )
-            return ArrowCheckResult("A3", "fail", w, checked)
-    return ArrowCheckResult("A3", "pass", None, checked)
+            return ArrowCheckResult("A3", "fail", w, len(domain.profiles))
+    return ArrowCheckResult("A3", "pass", None, len(domain.profiles))
 
 
 def check_a4(swf: SWF) -> ArrowCheckResult:
     """Non-imposition: every weak social stance is achieved by some profile."""
-    profiles = sorted_profiles(swf.alternatives, swf.n)
-    checked = len(profiles)
-    for a, b in _ordered_pairs(swf.alternatives):
-        if not any(swf.evaluate(x).weakly_prefers(a, b) for x in profiles):
-            w = ArrowWitness(profiles[0], None, (a, b),
+    domain = _tables(swf.alternatives, swf.n)
+    read = _social(swf, domain)
+    codes = range(len(domain.profiles))
+    for p, (a, b) in enumerate(domain.pairs):
+        if not any(read(code)[1][p] >= 0 for code in codes):
+            w = ArrowWitness(domain.profiles[0], None, (a, b),
                              f"no profile yields {a} at least as good as {b}")
-            return ArrowCheckResult("A4", "fail", w, checked)
-    return ArrowCheckResult("A4", "pass", None, checked)
+            return ArrowCheckResult("A4", "fail", w, len(domain.profiles))
+    return ArrowCheckResult("A4", "pass", None, len(domain.profiles))
 
 
 def find_dictator(swf: SWF, premise: str = "strict") -> int | None:
@@ -310,31 +405,26 @@ def find_dictator(swf: SWF, premise: str = "strict") -> int | None:
     """
     if premise not in ("strict", "weak"):
         raise ValueError(f"unknown dictator premise {premise!r}")
-    profiles = sorted_profiles(swf.alternatives, swf.n)
-    pairs = _ordered_pairs(swf.alternatives)
+    domain = _tables(swf.alternatives, swf.n)
+    read = _social(swf, domain)
+    floor = _PREMISE_FLOOR[premise]
+    premises, honours = domain.premises[premise], domain.honours[premise]
     for v in range(swf.n):
-        ok = True
-        for x in profiles:
-            fx = swf.evaluate(x)
-            for a, b in pairs:
-                if premise == "strict":
-                    if x[v].stance(a, b) > 0 and fx.stance(a, b) <= 0:
-                        ok = False
-                        break
-                else:
-                    if x[v].weakly_prefers(a, b) and not fx.weakly_prefers(a, b):
-                        ok = False
-                        break
-            if not ok:
+        for code, x in enumerate(domain.digits):
+            s, fx = read(code)
+            if s is not None:
+                if not honours[x[v]][s]:
+                    break
+            elif any(fx[p] < floor for p in premises[x[v]]):
                 break
-        if ok:
+        else:
             return v
     return None
 
 
 def check_a5(swf: SWF, premise: str = "strict") -> ArrowCheckResult:
     """No dictator: fails when some voter's preferences are always honored."""
-    profiles = sorted_profiles(swf.alternatives, swf.n)
+    profiles = _tables(swf.alternatives, swf.n).profiles
     v = find_dictator(swf, premise)
     if v is None:
         return ArrowCheckResult("A5", "pass", None, len(profiles))
@@ -397,10 +487,11 @@ def factor_into_pair_functions(
     pair's per-voter stance vector, and the rebuilt factors then reproduce the
     SWF's stances pointwise.
     """
-    profiles = sorted_profiles(swf.alternatives, swf.n)
+    domain = _tables(swf.alternatives, swf.n)
+    read = _social(swf, domain)
     factors: dict[tuple[str, str], PairTable] = {}
     for a, b in _unordered_pairs(swf.alternatives):
-        factors[(a, b)], conflict = _pair_factor(swf, profiles, a, b)
+        factors[(a, b)], conflict = _pair_factor(read, domain, domain.pair_index[(a, b)])
         if conflict is not None:
             return None
     return factors
@@ -491,13 +582,10 @@ def arrow_search(n: int = 2, alternatives: tuple[str, ...] = ("a", "b", "c")) ->
     vec_index = {v: i for i, v in enumerate(vectors)}
     candidates = _monotone_pair_functions(n)
 
-    profiles = sorted_profiles(alternatives, n)
-    realized = []
-    for x in profiles:
-        u = vec_index[tuple(w.stance(a, b) for w in x)]
-        v = vec_index[tuple(w.stance(b, c) for w in x)]
-        t = vec_index[tuple(w.stance(a, c) for w in x)]
-        realized.append((u, v, t))
+    domain = _tables(alternatives, n)
+    profiles = domain.profiles
+    by_pair = (domain.voter_stances[domain.pair_index[q]] for q in ((a, b), (b, c), (a, c)))
+    realized = [(vec_index[u], vec_index[v], vec_index[t]) for u, v, t in zip(*by_pair)]
     realized_set = sorted(set(realized))
 
     # allowed third stances per (first, second) stance pair
@@ -534,7 +622,6 @@ def arrow_search(n: int = 2, alternatives: tuple[str, ...] = ("a", "b", "c")) ->
             table[x] = triple_order[(p_ab[u], p_bc[v], p_ac[t])]
         tables.append(TabulatedSWF(alternatives, n, table))
 
-    order_index = {w: i for i, w in enumerate(enumerate_weak_orders(alternatives))}
     unique = {t.value_tuple(): t for t in tables}  # equal values: equal tables
     return tuple(sorted(unique.values(),
-                        key=lambda s: tuple(order_index[w] for w in s.value_tuple())))
+                        key=lambda s: tuple(domain.index[w] for w in s.value_tuple())))

@@ -162,7 +162,8 @@ class Outcomes:
 
     def reader(self, size: int) -> Callable[[int], str]:
         """Outcome by code among the profiles of ``size`` ballots; raises what
-        the rule raised on that profile."""
+        the rule raised on that profile, or RuleDomainError where its outcome
+        is not a symbol of the alphabet."""
         slots = self._slots.get(size)
         if slots is None:
             slots = self._slots[size] = [_PENDING] * self.k ** size
@@ -174,6 +175,12 @@ class Outcomes:
                     value = self.rule.evaluate(self.profile(size, code))
                 except Exception as exc:  # kept in the slot; every read raises it
                     value = exc
+                else:
+                    if value not in self.alphabet.alternatives:
+                        value = RuleDomainError(
+                            f"rule {self.rule.descriptor} answered {value!r}, which is "
+                            f"not a symbol of the alphabet {self.alphabet.alternatives}"
+                        )
                 slots[code] = value
             if isinstance(value, Exception):
                 raise value

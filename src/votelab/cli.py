@@ -36,7 +36,13 @@ from .rules import (
 )
 from . import axioms
 from .axioms import AuditReport, Witness, audit
-from .arrow import WeakOrder, arrow_search, find_dictator, sorted_profiles
+from .arrow import (
+    WeakOrder,
+    arrow_search,
+    enumerate_weak_orders,
+    find_dictator,
+    sorted_profiles,
+)
 from .enumeration import (
     enumerate_c_families,
     enumerate_may_functions,
@@ -454,6 +460,8 @@ def cmd_arrow_search(args: argparse.Namespace) -> int:
     n = 2
     survivors = arrow_search(n, alternatives)
     profiles = sorted_profiles(alternatives, n)
+    lines = {w: format_rank_line(w) for w in enumerate_weak_orders(alternatives)}
+    rows = [[lines[w] for w in x] for x in profiles]  # shared by every survivor
     doc = {
         **_report_header("arrow-search"),
         "parameters": {"voters": n, "alternatives": list(alternatives)},
@@ -464,11 +472,8 @@ def cmd_arrow_search(args: argparse.Namespace) -> int:
                 "dictator": find_dictator(swf),
                 "dictator_premise": "strict",
                 "table": [
-                    {
-                        "profile": [format_rank_line(w) for w in x],
-                        "order": format_rank_line(swf.evaluate(x)),
-                    }
-                    for x in profiles
+                    {"profile": row, "order": lines[w]}
+                    for row, w in zip(rows, swf.value_tuple())
                 ],
             }
             for swf in survivors

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Container, Hashable, Iterator, Mapping, Sequence
 
 
@@ -41,6 +41,8 @@ class Alphabet:
 
     alternatives: tuple[str, ...]
     bot: str
+    non_bot: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    """The non-tie symbols in alphabet order, stored once at construction."""
 
     def __post_init__(self) -> None:
         if len(set(self.alternatives)) != len(self.alternatives):
@@ -49,10 +51,8 @@ class Alphabet:
             raise ValueError("tie symbol must be a member of the alphabet")
         if len(self.alternatives) < 2:
             raise ValueError("alphabet needs at least one non-tie alternative")
-
-    @property
-    def non_bot(self) -> tuple[str, ...]:
-        return tuple(s for s in self.alternatives if s != self.bot)
+        object.__setattr__(self, "non_bot",
+                           tuple(s for s in self.alternatives if s != self.bot))
 
     def __contains__(self, symbol: str) -> bool:
         return symbol in self.alternatives

@@ -18,7 +18,6 @@ from votelab.arrow import (
     find_dictator,
     pairwise_majority_swf,
     projection_swf,
-    restrict,
     sorted_profiles,
 )
 
@@ -80,16 +79,16 @@ class TestWeakOrders:
             WeakOrder((("a",), ()))
 
     def test_restrict(self):
-        assert restrict(ABC, "a", "b") == 1
-        assert restrict(ABC, "c", "a") == -1
-        assert restrict(A_BC, "b", "c") == 0
+        assert ABC.stance("a", "b") == 1
+        assert ABC.stance("c", "a") == -1
+        assert A_BC.stance("b", "c") == 0
         with pytest.raises(ValueError):
-            restrict(ABC, "a", "a")
+            ABC.stance("a", "a")
 
     def test_restriction_consistent_with_blocks(self):
         for w in enumerate_weak_orders(ALTS):
             for x, y in itertools.combinations(ALTS, 2):
-                s = restrict(w, x, y)
+                s = w.stance(x, y)
                 assert s == (w.level(x) < w.level(y)) - (w.level(x) > w.level(y))
 
 

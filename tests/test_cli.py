@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import pathlib
@@ -6,6 +7,7 @@ import sys
 
 import pytest
 
+from votelab.arrow import WeakOrder, enumerate_weak_orders
 from votelab.core import Alphabet, Profile
 from votelab.cli import (
     BallotParseError,
@@ -94,6 +96,20 @@ class TestBallotFiles:
         _, alphabet, orders = parse_ballot_file(text)
         line = format_rank_line(orders[0])
         assert parse_rank_text(line, alphabet) == orders[0]
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_every_rank_line_round_trips(self, k):
+        # every weak order on k alternatives, each block listed in every order
+        alphabet = Alphabet.make(k)
+        checked = 0
+        for order in enumerate_weak_orders(alphabet.non_bot):
+            for blocks in itertools.product(*map(itertools.permutations, order.blocks)):
+                w = WeakOrder(blocks)
+                line = format_rank_line(w)
+                assert parse_rank_text(line, alphabet) == w
+                assert format_rank_line(parse_rank_text(line, alphabet)) == line
+                checked += 1
+        assert checked == {2: 4, 3: 24, 4: 192}[k]  # k! * 2^(k-1)
 
 
 class TestDescriptors:

@@ -39,6 +39,15 @@ class TestAlphabet:
         assert AB2.bot == "_"
         assert AB2.non_bot == ("a", "b")
 
+    def test_non_bot_is_stored_once(self):
+        alphabet = Alphabet(("x", "-", "y"), "-")
+        assert alphabet.non_bot == ("x", "y")
+        assert alphabet.non_bot is alphabet.non_bot
+        # a stored field, but no part of the value
+        assert repr(alphabet) == "Alphabet(alternatives=('x', '-', 'y'), bot='-')"
+        assert alphabet == Alphabet(("x", "-", "y"), "-")
+        assert hash(alphabet) == hash(Alphabet(("x", "-", "y"), "-"))
+
     def test_may(self):
         assert set(MAY.alternatives) == {"-1", "0", "1"}
         assert MAY.bot == "0"

@@ -43,7 +43,7 @@ from votelab.rules import (
     pure_majority,
     pure_majority_table,
 )
-from votelab import axioms
+from votelab import axioms, cli
 from votelab.axioms import ALL_AXIOMS, CheckResult, Witness
 
 AB2 = Alphabet.make(2)
@@ -477,3 +477,18 @@ def test_relabelling_needs_memory_of_the_table_not_of_every_image():
         tracemalloc.stop()
     assert result == CheckResult("C2", "pass", None, sum(5 ** s for s in range(n_max + 1)))
     assert peak < 32 * result.profiles_checked
+
+
+def test_an_outcome_outside_the_alphabet_is_an_error_for_every_checker(monkeypatch, tmp_path):
+    rule = FunctionRule(AB2, lambda p: "z" if len(p) == 1 else "_", "z")
+    selected = ("C2", "C3", "C4", "C5", "C6", "PLURALITY_PROPERTY")
+    report = axioms.audit(rule, selected, 2)
+    assert [r.status for r in report.results] == ["error"] * len(selected)
+    assert {r.error_type for r in report.results} == {RuleDomainError}
+    assert {r.error for r in report.results} == {
+        "rule z answered 'z', which is not a symbol of the alphabet ('a', 'b', '_')"}
+    # an ill-formed rule is an input error for the audit command
+    monkeypatch.setattr(cli, "parse_rule", lambda descriptor, alphabet: rule)
+    argv = ["audit", "--rule", "pure-majority", "--alternatives", "2", "--max-voters", "2",
+            "--axioms", "C2-C6,PLURALITY_PROPERTY", "--out", str(tmp_path / "report.json")]
+    assert cli.main(argv) == 2
