@@ -9,16 +9,17 @@ encoded +1 (strictly better), 0 (indifferent), -1 (strictly worse).
 The checkers read per-domain order tables, built once per (alternatives, n) on
 first use: the weak orders and their index, each order's stance on every
 ordered pair, each order's single-pair-change neighbours with the (hi, lo)
-moves that responsiveness tests, and which orders honour which under either
+moves that responsiveness tests, and each order's premise pairs under either
 dictator premise.  A profile is addressed by its base-m code (m weak orders,
 voter 0 the most significant digit: the order of ``sorted_profiles``), so
 voter v switching from order i to order j leads from ``code`` to
 ``code + (j - i)*m^(n-1-v)``.  During one check the SWF is evaluated on each
 profile once, when its code is first read, in the order in which a
-per-profile loop would first evaluate it; a social order outside the index
-(blocks listed in another order, other alternatives) is read through
+per-profile loop would first evaluate it; a social ``WeakOrder`` outside the
+index (blocks listed in another order, other alternatives) is read through
 ``WeakOrder.stance`` pair by pair, so verdicts and raised errors do not depend
-on the tables.
+on the tables.  An answer that is not a ``WeakOrder`` is read through its
+``stance`` too, so ``None`` raises AttributeError on its first stance read.
 """
 
 from __future__ import annotations
@@ -232,7 +233,7 @@ def _unordered_pairs(alternatives: tuple[str, ...]) -> list[tuple[str, str]]:
 
 # --- order tables -------------------------------------------------------------
 
-_Slot = tuple[int | None, Sequence[Stance]]  # (order index or None, stance row)
+_Row = Sequence[Stance]  # a social order's stance on every ordered pair
 _PREMISE_FLOOR = {"strict": 1, "weak": 0}  # least stance a premise pair needs
 
 
@@ -246,7 +247,6 @@ class _OrderTables:
         self.pairs = tuple(_ordered_pairs(alternatives))
         self.pair_index = {q: p for p, q in enumerate(self.pairs)}
         self.stances = tuple(tuple(w.stance(a, b) for a, b in self.pairs) for w in self.orders)
-        self.order_slots: tuple[_Slot, ...] = tuple(enumerate(self.stances))
         # per order: (replacement, ordered pairs (hi, lo) the voter moves
         # toward hi) for every replacement that changes one unordered pair only
         both_ways = [(self.pair_index[(a, b)], self.pair_index[(b, a)])
@@ -261,17 +261,12 @@ class _OrderTables:
                     moves = tuple(p for p in changed[0] if si[p] <= 0 and sj[p] >= 0)
                     neighbours[-1].append((j, moves))
         self.neighbours = tuple(map(tuple, neighbours))
-        # per premise: each order's premise pairs, and honours[i][j] when
-        # order j keeps every premise pair of order i
-        self.premises = {}
-        self.honours = {}
-        for premise, floor in _PREMISE_FLOOR.items():
-            pairs = tuple(tuple(p for p, s in enumerate(row) if s >= floor)
-                          for row in self.stances)
-            self.premises[premise] = pairs
-            self.honours[premise] = tuple(
-                tuple(all(row[p] >= floor for p in own) for row in self.stances) for own in pairs
-            )
+        # per premise: each order's premise pairs
+        self.premises = {
+            premise: tuple(tuple(p for p, s in enumerate(row) if s >= floor)
+                           for row in self.stances)
+            for premise, floor in _PREMISE_FLOOR.items()
+        }
         self.profiles = sorted_profiles(alternatives, n)
         m = len(self.orders)
         self.weights = tuple(m ** (n - 1 - v) for v in range(n))
@@ -302,23 +297,23 @@ class _ForeignStances:
         return self.order.stance(*self.pairs[p])
 
 
-def _social(swf: SWF, tables: _OrderTables) -> Callable[[int], _Slot]:
-    """The SWF's order at a profile code as (order index, stance row), evaluated
-    the first time the code is read and kept for the rest of the check."""
-    profiles, index, known = tables.profiles, tables.index, tables.order_slots
-    slots: list[_Slot | None] = [None] * len(profiles)
+def _social(swf: SWF, tables: _OrderTables) -> Callable[[int], _Row]:
+    """The stance row of the SWF's order at a profile code, evaluated the
+    first time the code is read and kept for the rest of the check."""
+    profiles, index, known = tables.profiles, tables.index, tables.stances
+    rows: list[_Row | None] = [None] * len(profiles)
 
-    def read(code: int) -> _Slot:
-        slot = slots[code]
-        if slot is None:
+    def read(code: int) -> _Row:
+        row = rows[code]
+        if row is None:
             order = swf.evaluate(profiles[code])
             try:
                 i = index.get(order)
             except TypeError:  # unhashable, so not an indexed order
                 i = None
-            slot = known[i] if i is not None else (None, _ForeignStances(order, tables.pairs))
-            slots[code] = slot
-        return slot
+            row = known[i] if i is not None else _ForeignStances(order, tables.pairs)
+            rows[code] = row
+        return row
 
     return read
 
@@ -333,11 +328,11 @@ def check_a2(swf: SWF) -> ArrowCheckResult:
     read = _social(swf, domain)
     neighbours, weights = domain.neighbours, domain.weights
     for code, x in enumerate(domain.digits):
-        fx = read(code)[1]
+        fx = read(code)
         for v, i in enumerate(x):
             for j, moves in neighbours[i]:
                 other = code + (j - i) * weights[v]
-                fy = read(other)[1]
+                fy = read(other)
                 for p in moves:
                     if fx[p] >= 0 and fy[p] < 0:
                         hi, lo = domain.pairs[p]
@@ -350,7 +345,7 @@ def check_a2(swf: SWF) -> ArrowCheckResult:
     return ArrowCheckResult("A2", "pass", None, len(domain.profiles))
 
 
-def _pair_factor(read: Callable[[int], _Slot], tables: _OrderTables,
+def _pair_factor(read: Callable[[int], _Row], tables: _OrderTables,
                  p: int) -> tuple[PairTable, tuple[int, int] | None]:
     """The social stance on ordered pair p as a table over the voters' stances
     on the pair, or the codes of the first two profiles sharing voter stances
@@ -358,7 +353,7 @@ def _pair_factor(read: Callable[[int], _Slot], tables: _OrderTables,
     table: PairTable = {}
     first: dict[tuple[Stance, ...], int] = {}
     for code, key in enumerate(tables.voter_stances[p]):
-        social = read(code)[1][p]
+        social = read(code)[p]
         if table.setdefault(key, social) != social:
             return table, (first[key], code)
         first.setdefault(key, code)
@@ -387,7 +382,7 @@ def check_a4(swf: SWF) -> ArrowCheckResult:
     read = _social(swf, domain)
     codes = range(len(domain.profiles))
     for p, (a, b) in enumerate(domain.pairs):
-        if not any(read(code)[1][p] >= 0 for code in codes):
+        if not any(read(code)[p] >= 0 for code in codes):
             w = ArrowWitness(domain.profiles[0], None, (a, b),
                              f"no profile yields {a} at least as good as {b}")
             return ArrowCheckResult("A4", "fail", w, len(domain.profiles))
@@ -408,14 +403,11 @@ def find_dictator(swf: SWF, premise: str = "strict") -> int | None:
     domain = _tables(swf.alternatives, swf.n)
     read = _social(swf, domain)
     floor = _PREMISE_FLOOR[premise]
-    premises, honours = domain.premises[premise], domain.honours[premise]
+    premises = domain.premises[premise]
     for v in range(swf.n):
         for code, x in enumerate(domain.digits):
-            s, fx = read(code)
-            if s is not None:
-                if not honours[x[v]][s]:
-                    break
-            elif any(fx[p] < floor for p in premises[x[v]]):
+            fx = read(code)
+            if any(fx[p] < floor for p in premises[x[v]]):
                 break
         else:
             return v

@@ -320,3 +320,19 @@ def test_an_order_missing_an_alternative_raises_as_before():
     # stance on c is asked for
     assert raised == set(CHECKS) - {"check_a5", "find_dictator"}
 
+
+
+def test_an_answer_that_is_not_an_order_raises_on_its_stance():
+    # every checker reads a social order through ``stance``; the loops of A2,
+    # A4 and the weak premise asked ``weakly_prefers`` instead, so only the
+    # attribute named in the message differs from theirs
+    refused_at = sorted_profiles(ALTS, 2)[7]
+    swf = FunctionSWF(ALTS, 2, lambda x: None if x == refused_at else x[0], "none-at-7")
+    for name, (naive, args) in CHECKS.items():
+        table_swf, table_calls = counted(swf)
+        naive_swf, naive_calls = counted(swf)
+        got = outcome(checker(name), table_swf, *args)
+        expected = outcome(naive, naive_swf, *args)
+        assert got == (AttributeError, "'NoneType' object has no attribute 'stance'"), name
+        assert expected[0] is AttributeError, name
+        assert table_calls == list(dict.fromkeys(naive_calls)), name
