@@ -38,12 +38,7 @@ from .rules import (
     SupermajorityRule,
     TabulatedFamily,
     TabulatedRule,
-    may_sign_rule,
-    pure_majority,
     pure_majority_table,
-    quorum_rule,
-    supermajority,
-    tabulated_evaluate,
 )
 from .axioms import AuditReport, CheckResult, ReplayResult, Witness, audit, replay_main_proof
 from .arrow import WeakOrder, arrow_search, enumerate_weak_orders, find_dictator
@@ -93,15 +88,10 @@ __all__ = [
     "extend",
     "find_dictator",
     "maximal_elements",
-    "may_sign_rule",
-    "pure_majority",
     "pure_majority_table",
-    "quorum_rule",
     "replay_main_proof",
     "rule_leq",
     "signature",
     "strict_plurality",
-    "supermajority",
-    "tabulated_evaluate",
     "tally",
 ]

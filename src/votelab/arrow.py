@@ -11,8 +11,9 @@ first use: the weak orders and their index, each order's stance on every
 ordered pair, each order's single-pair-change neighbours with the (hi, lo)
 moves that responsiveness tests, and each order's premise pairs under either
 dictator premise.  A profile is addressed by its base-m code (m weak orders,
-voter 0 the most significant digit: the order of ``sorted_profiles``), so
-voter v switching from order i to order j leads from ``code`` to
+voter 0 the most significant digit: the order of ``sorted_profiles``; the
+tables map each profile to its code for ``TabulatedSWF``), so voter v
+switching from order i to order j leads from ``code`` to
 ``code + (j - i)*m^(n-1-v)``.  During one check the SWF is evaluated on each
 profile once, when its code is first read, in the order in which a
 per-profile loop would first evaluate it; a social ``WeakOrder`` outside the
@@ -134,19 +135,28 @@ class FunctionSWF(SWF):
 
 
 class TabulatedSWF(SWF):
-    """Explicit profile -> order table over all profiles for fixed n."""
+    """Explicit order table over every profile for fixed n.
+
+    ``values`` holds one social order per profile, in ``sorted_profiles``
+    order; a profile is looked up by its code in the domain's order tables
+    (see the module docstring), which every table of the domain shares.
+    """
 
     def __init__(self, alternatives: tuple[str, ...], n: int,
-                 table: Mapping[ArrowProfile, WeakOrder], descriptor: str | None = None):
-        self._values = tuple(table[p] for p in sorted_profiles(alternatives, n))
+                 values: Sequence[WeakOrder], descriptor: str | None = None):
+        domain = _tables(alternatives, n)
+        if len(values) != len(domain.profiles):
+            raise ValueError(f"a table over {n} voters needs one order for each of "
+                             f"{len(domain.profiles)} profiles, got {len(values)}")
+        self._values = tuple(values)
+        self._codes = domain.codes
         if descriptor is None:
             digest = hashlib.sha256("|".join(map(str, self._values)).encode()).hexdigest()[:12]
             descriptor = f"swf:sha256:{digest}"
         super().__init__(alternatives, n, descriptor)
-        self.table = dict(table)
 
     def evaluate(self, profile: ArrowProfile) -> WeakOrder:
-        return self.table[profile]
+        return self._values[self._codes[profile]]
 
     def value_tuple(self) -> tuple[WeakOrder, ...]:
         """Orders in canonical profile order; the table's identity for sorting."""
@@ -268,6 +278,7 @@ class _OrderTables:
             for premise, floor in _PREMISE_FLOOR.items()
         }
         self.profiles = sorted_profiles(alternatives, n)
+        self.codes = {x: code for code, x in enumerate(self.profiles)}
         m = len(self.orders)
         self.weights = tuple(m ** (n - 1 - v) for v in range(n))
         self.digits = tuple(itertools.product(range(m), repeat=n))
@@ -523,32 +534,6 @@ def _monotone_pair_functions(n: int) -> list[tuple[Stance, ...]]:
     return out
 
 
-def _valid_stance_triples() -> dict[tuple[Stance, Stance, Stance], WeakOrder]:
-    """Stance triples on ((a,b), (b,c), (a,c)) that induce a total preorder.
-
-    There are exactly as many as weak orders on three alternatives; the map to
-    the induced order is used to assemble search results.
-    """
-    placeholder = ("a", "b", "c")
-    valid = {}
-    for sab, sbc, sac in itertools.product(_STANCES, repeat=3):
-        stance = {("a", "b"): sab, ("b", "c"): sbc, ("a", "c"): sac}
-
-        def ge(x: str, y: str) -> bool:
-            if x == y:
-                return True
-            if (x, y) in stance:
-                return stance[(x, y)] >= 0
-            return stance[(y, x)] <= 0
-
-        if all(
-            not (ge(x, y) and ge(y, z)) or ge(x, z)
-            for x in placeholder for y in placeholder for z in placeholder
-        ):
-            valid[(sab, sbc, sac)] = _order_from_ge(placeholder, ge)
-    return valid
-
-
 def arrow_search(n: int = 2, alternatives: tuple[str, ...] = ("a", "b", "c")) -> tuple[TabulatedSWF, ...]:
     """All SWFs satisfying soundness, responsiveness, pair independence and
     non-imposition, by per-pair decomposition; desk scale only.
@@ -563,26 +548,23 @@ def arrow_search(n: int = 2, alternatives: tuple[str, ...] = ("a", "b", "c")) ->
         raise BoundError("search is desk-scale only: 1 or 2 voters, exactly 3 alternatives")
 
     a, b, c = alternatives
-    valid_triples = _valid_stance_triples()
-    rename = {"a": a, "b": b, "c": c}
-    triple_order = {
-        triple: WeakOrder(tuple(tuple(rename[s] for s in block) for block in order.blocks))
-        for triple, order in valid_triples.items()
-    }
+    # each weak order's stances on ((a,b), (b,c), (a,c)): exactly the stance
+    # triples that induce a total preorder
+    triple_order = {(w.stance(a, b), w.stance(b, c), w.stance(a, c)): w
+                    for w in enumerate_weak_orders(alternatives)}
 
     vectors = _stance_vectors(n)
     vec_index = {v: i for i, v in enumerate(vectors)}
     candidates = _monotone_pair_functions(n)
 
     domain = _tables(alternatives, n)
-    profiles = domain.profiles
     by_pair = (domain.voter_stances[domain.pair_index[q]] for q in ((a, b), (b, c), (a, c)))
     realized = [(vec_index[u], vec_index[v], vec_index[t]) for u, v, t in zip(*by_pair)]
     realized_set = sorted(set(realized))
 
     # allowed third stances per (first, second) stance pair
     allowed_mask = [[0] * 3 for _ in range(3)]
-    for (sab, sbc, sac) in valid_triples:
+    for (sab, sbc, sac) in triple_order:
         allowed_mask[sab + 1][sbc + 1] |= 1 << (sac + 1)
 
     full_mask = (1 << len(_STANCES)) - 1
@@ -607,12 +589,11 @@ def arrow_search(n: int = 2, alternatives: tuple[str, ...] = ("a", "b", "c")) ->
                 if all(mk[t] & masks[t] for t in range(len(vectors))):
                     survivors.append((p_ab, p_bc, p_ac))
 
-    tables = []
-    for p_ab, p_bc, p_ac in survivors:
-        table = {}
-        for x, (u, v, t) in zip(profiles, realized):
-            table[x] = triple_order[(p_ab[u], p_bc[v], p_ac[t])]
-        tables.append(TabulatedSWF(alternatives, n, table))
+    tables = [
+        TabulatedSWF(alternatives, n, [triple_order[(p_ab[u], p_bc[v], p_ac[t])]
+                                       for u, v, t in realized])
+        for p_ab, p_bc, p_ac in survivors
+    ]
 
     unique = {t.value_tuple(): t for t in tables}  # equal values: equal tables
     return tuple(sorted(unique.values(),

@@ -127,10 +127,6 @@ class AuditReport:
     def any_fail(self) -> bool:
         return any(r.status == "fail" for r in self.results)
 
-    @property
-    def any_error(self) -> bool:
-        return any(r.status == "error" for r in self.results)
-
     def result_for(self, axiom: str) -> CheckResult:
         for r in self.results:
             if r.axiom == axiom:

@@ -147,19 +147,8 @@ def _parse_rank_line(lineno: int, line: str, alphabet: Alphabet) -> WeakOrder:
     return order
 
 
-def format_ballot_file(alphabet: Alphabet, ballots: tuple[str, ...]) -> str:
-    header = (
-        f"alternatives: {','.join(alphabet.alternatives)} bot: {alphabet.bot}"
-    )
-    return "\n".join([header, *ballots]) + "\n"
-
-
 def format_rank_line(order: WeakOrder) -> str:
     return "rank: " + " > ".join(" = ".join(block) for block in order.blocks)
-
-
-def parse_rank_text(text: str, alphabet: Alphabet) -> WeakOrder:
-    return _parse_rank_line(0, text.strip(), alphabet)
 
 
 # --- rule descriptors -------------------------------------------------------
@@ -226,7 +215,7 @@ def family_json(family: TabulatedFamily) -> dict:
 def family_from_json(doc: dict) -> TabulatedFamily:
     try:
         alphabet = Alphabet(tuple(doc["alternatives"]), doc["bot"])
-        horizon = int(doc["horizon"])
+        horizon = doc["horizon"]
         table = {tuple(counts): value for counts, value in doc["entries"]}
     except (KeyError, TypeError, ValueError) as exc:
         raise RuleDomainError(f"malformed tabulated family document: {exc}") from exc

@@ -102,9 +102,6 @@ class Tally:
     def count(self, symbol: str) -> int:
         return self.counts[self.alphabet.index(symbol)]
 
-    def as_dict(self) -> dict[str, int]:
-        return dict(zip(self.alphabet.alternatives, self.counts))
-
 
 @dataclass(frozen=True)
 class CountSignature:
@@ -112,13 +109,6 @@ class CountSignature:
 
     alphabet: Alphabet
     counts: tuple[int, ...]  # aligned with alphabet.non_bot
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(zip(self.alphabet.non_bot, self.counts))
 
 
 @dataclass(frozen=True)
@@ -299,11 +289,3 @@ def table_values(table: Mapping, keys: Sequence[Hashable], allowed: Container) -
             raise ValueError(f"table value {value!r} not in {allowed}")
     return values
 
-
-def profile_for_signature(sig: CountSignature) -> Profile:
-    """Lexicographically least tie-free profile with the given signature."""
-    ballots: list[str] = []
-    for sym, n in zip(sig.alphabet.non_bot, sig.counts):
-        ballots.extend([sym] * n)
-    ballots.sort(key=sig.alphabet.index)
-    return Profile(sig.alphabet, tuple(ballots))

@@ -20,7 +20,6 @@ from .core import (
     VoteLabError,
     compositions,
     profile_budget,
-    profiles_up_to,
     signatures_up_to,
     table_values,
 )
@@ -28,6 +27,12 @@ from .rules import FunctionRule, RuleFamily, TabulatedFamily, pure_majority_tabl
 from . import axioms
 
 MAY_VALUES = (-1, 0, 1)
+
+# Bounds of the two enumerators.  They stay fixed rather than follow
+# core.PROFILE_BUDGET: what an enumeration costs grows with the families it
+# lists, not with profiles (at 3 alternatives, h=7 takes 76 s and 2.1 GB).
+MAY_MAX_VOTERS = 4
+MAX_HORIZON = 8
 
 
 @dataclass(frozen=True)
@@ -57,12 +62,7 @@ class MayFunctionTable:
                 raise VoteLabError(
                     f"table is for exactly {self.n} voters, got {len(profile)}"
                 )
-            counts = (
-                profile.ballots.count("-1"),
-                profile.ballots.count("0"),
-                profile.ballots.count("1"),
-            )
-            return str(self.table[counts])
+            return str(self.table[tuple(map(profile.ballots.count, alphabet.alternatives))])
 
         return FunctionRule(alphabet, run, f"may-table:n{self.n}:{self.value_tuple()}")
 
@@ -95,9 +95,7 @@ def _may_moves(n: int, semantics: str) -> list[tuple[tuple[int, int, int], tuple
     return moves
 
 
-def enumerate_may_functions(
-    n: int, semantics: str = "in_favor", max_n: int = 4
-) -> tuple[MayFunctionTable, ...]:
+def enumerate_may_functions(n: int, semantics: str = "in_favor") -> tuple[MayFunctionTable, ...]:
     """All n-voter tables satisfying symmetry, neutrality and positive
     responsiveness under the chosen responsiveness semantics.
 
@@ -107,8 +105,8 @@ def enumerate_may_functions(
     both endpoints of a move are determined.  Every emitted table is
     re-checked against the raw-profile checkers.
     """
-    if not 1 <= n <= max_n:
-        raise BoundError(f"voter count {n} outside enumeration bound 1..{max_n}")
+    if not 1 <= n <= MAY_MAX_VOTERS:
+        raise BoundError(f"voter count {n} outside enumeration bound 1..{MAY_MAX_VOTERS}")
     triples = list(compositions(n, 3))
     mirror = {t: (t[2], t[1], t[0]) for t in triples}
     free = [t for t in triples if t[2] > t[0]]  # positive side; rest follows
@@ -201,12 +199,7 @@ def _permute_counts(counts: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int
     return tuple(out)
 
 
-def enumerate_c_families(
-    alphabet: Alphabet,
-    horizon: int,
-    with_c6: bool = False,
-    max_horizon: int = 8,
-) -> FamilySet:
+def enumerate_c_families(alphabet: Alphabet, horizon: int, with_c6: bool = False) -> FamilySet:
     """All tabulated families within the horizon satisfying the consistency
     axioms structurally.
 
@@ -225,8 +218,8 @@ def enumerate_c_families(
     k = len(alphabet.non_bot)
     if not 2 <= k <= 3:
         raise BoundError("family enumeration supports 2 or 3 non-tie alternatives")
-    if not 0 <= horizon <= max_horizon:
-        raise BoundError(f"horizon {horizon} outside bound 0..{max_horizon}")
+    if not 0 <= horizon <= MAX_HORIZON:
+        raise BoundError(f"horizon {horizon} outside bound 0..{MAX_HORIZON}")
 
     sigs = [s.counts for s in signatures_up_to(alphabet, horizon)]
     position = {s: i for i, s in enumerate(sigs)}
@@ -317,20 +310,24 @@ def enumerate_c_families(
 def rule_leq(f: RuleFamily, g: RuleFamily, n_max: int) -> tuple[bool, Profile | None]:
     """Whether f is at most g: wherever f is conclusive, g agrees.
 
-    On failure returns the minimal profile (smallest size, lexicographically
-    first) where f is conclusive and differs from g.  A negative bound, or
-    one over the profile budget, raises BoundError before any evaluation.
+    Reads the two rules' outcome tables (:class:`axioms.Outcomes`) code by code,
+    g only where f is conclusive.  On failure returns the minimal profile
+    (smallest size, lexicographically first) where f is conclusive and differs
+    from g.  A negative bound, or one over the profile budget, raises
+    BoundError before any evaluation; an outcome outside the alphabet raises
+    RuleDomainError.
     """
     profile_budget(f.alphabet, n_max, range(n_max + 1))
     if f.alphabet != g.alphabet:
         raise VoteLabError("rules must share an alphabet to be compared")
     bot = f.alphabet.bot
-    for p in profiles_up_to(f.alphabet, n_max):
-        fv = f.evaluate(p)
-        if fv == bot:
-            continue
-        if fv != g.evaluate(p):
-            return False, p
+    f_table, g_table = axioms.Outcomes(f), axioms.Outcomes(g)
+    for size in range(n_max + 1):
+        f_read, g_read = f_table.reader(size), g_table.reader(size)
+        for code in range(f_table.k ** size):
+            fv = f_read(code)
+            if fv != bot and fv != g_read(code):
+                return False, f_table.profile(size, code)
     return True, None
 
 

@@ -1,13 +1,16 @@
 """Concrete voting rules behind one uniform evaluator interface.
 
 A rule family maps profiles of any size over a fixed alphabet to a single
-alternative, deterministically.  Rules never use floating point: supermajority
-thresholds are exact rationals, so equality at the threshold is meaningful.
+alternative, deterministically.  Each rule is one class: its parameters are
+checked once, when it is built, and its ``evaluate`` is the rule.  Rules never
+use floating point: supermajority thresholds are exact rationals, so equality
+at the threshold is meaningful.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping
@@ -19,7 +22,6 @@ from .core import (
     Profile,
     RuleDomainError,
     Tally,
-    signature,
     signatures_up_to,
     strict_plurality,
     table_values,
@@ -47,68 +49,10 @@ class RuleFamily:
         return f"<{type(self).__name__} {self.descriptor}>"
 
 
-def pure_majority(profile: Profile) -> str:
-    """Strict plurality winner among non-tie alternatives, or the tie symbol."""
-    winner = strict_plurality(tally(profile))
-    return winner if winner is not None else profile.alphabet.bot
-
-
-def may_sign_rule(profile: Profile) -> str:
-    """Sign of the ballot sum over the {-1, 0, 1} alphabet."""
-    if set(profile.alphabet.alternatives) != {"-1", "0", "1"} or profile.alphabet.bot != "0":
-        raise RuleDomainError("may-sign requires the {-1, 0, 1} alphabet with tie 0")
-    total = sum(int(b) for b in profile.ballots)
-    if total > 0:
-        return "1"
-    if total < 0:
-        return "-1"
-    return "0"
-
-
-def quorum_rule(profile: Profile, threshold: int, mode: str) -> str:
-    """Tie below a turnout threshold, pure majority at or above it.
-
-    ``literal`` counts every ballot toward the threshold, abstentions included;
-    ``participation`` counts only non-tie ballots.  The literal variant is the
-    naive reading of a quorum and is not tie-insertion invariant (the audit
-    engine exhibits the witness); the participation variant is.
-    """
-    if threshold < 1:
-        raise RuleDomainError("quorum threshold must be at least 1")
-    if mode == "literal":
-        turnout = len(profile)
-    elif mode == "participation":
-        turnout = len(profile) - tally(profile).count(profile.alphabet.bot)
-    else:
-        raise RuleDomainError(f"unknown quorum mode {mode!r}")
-    if turnout < threshold:
-        return profile.alphabet.bot
-    return pure_majority(profile)
-
-
-def supermajority(profile: Profile, quota: Fraction, denom: str) -> str:
-    """Alternative exceeding ``quota`` of the denominator, else the tie symbol.
-
-    ``denom`` is "all" (every ballot counts toward the denominator) or "nonbot"
-    (tie ballots excluded).  Comparison is exact; for quota >= 1/2 at most one
-    alternative can qualify.  A profile where two alternatives qualify marks the
-    configuration ill-formed and is rejected rather than tie-broken.
-    """
-    if not 0 < quota < 1:
-        raise RuleDomainError("supermajority quota must lie strictly between 0 and 1")
-    t = tally(profile)
-    if denom == "all":
-        base = len(profile)
-    elif denom == "nonbot":
-        base = len(profile) - t.count(profile.alphabet.bot)
-    else:
-        raise RuleDomainError(f"unknown supermajority denominator {denom!r}")
-    qualified = [s for s in profile.alphabet.non_bot if t.count(s) > quota * base]
-    if len(qualified) > 1:
-        raise RuleDomainError(
-            f"quota {quota} with denominator {denom!r} admits two qualifiers: ill-formed"
-        )
-    return qualified[0] if qualified else profile.alphabet.bot
+def _winner(t: Tally) -> str:
+    """The strict plurality winner among non-tie alternatives, or the tie symbol."""
+    winner = strict_plurality(t)
+    return winner if winner is not None else t.alphabet.bot
 
 
 @dataclass(frozen=True)
@@ -126,6 +70,13 @@ class TabulatedFamily:
     _values: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        # checked before any key is built, so a bad horizon costs nothing
+        if isinstance(self.horizon, bool) or not isinstance(self.horizon, int) \
+                or self.horizon < 0:
+            raise ValueError(f"family horizon must be a non-negative int, got {self.horizon!r}")
+        if len(self.table) != math.comb(self.horizon + len(self.alphabet.non_bot),
+                                        len(self.alphabet.non_bot)):
+            raise ValueError("table must cover exactly the canonical keys of its domain")
         keys = [sig.counts for sig in signatures_up_to(self.alphabet, self.horizon)]
         object.__setattr__(self, "_values", table_values(self.table, keys, self.alphabet))
 
@@ -138,16 +89,6 @@ class TabulatedFamily:
         return hashlib.sha256(payload).hexdigest()[:12]
 
 
-def tabulated_evaluate(family: TabulatedFamily, profile: Profile) -> str:
-    """Table lookup on the profile's count signature."""
-    sig = signature(profile)
-    if sig.total > family.horizon:
-        raise HorizonError(
-            f"signature total {sig.total} exceeds family horizon {family.horizon}"
-        )
-    return family.table[sig.counts]
-
-
 def signature_tally(sig: CountSignature) -> Tally:
     """Tally with the signature's non-tie counts and zero tie ballots."""
     by_symbol = dict(zip(sig.alphabet.non_bot, sig.counts))
@@ -158,31 +99,44 @@ def signature_tally(sig: CountSignature) -> Tally:
 
 def pure_majority_table(alphabet: Alphabet, horizon: int) -> TabulatedFamily:
     """Pure majority restricted to signatures within the horizon."""
-    table = {}
-    for sig in signatures_up_to(alphabet, horizon):
-        winner = strict_plurality(signature_tally(sig))
-        table[sig.counts] = winner if winner is not None else alphabet.bot
+    table = {sig.counts: _winner(signature_tally(sig))
+             for sig in signatures_up_to(alphabet, horizon)}
     return TabulatedFamily(alphabet, horizon, table)
 
 
 class PureMajorityRule(RuleFamily):
+    """Strict plurality winner among non-tie alternatives, or the tie symbol."""
+
     def __init__(self, alphabet: Alphabet):
         super().__init__(alphabet, "pure-majority")
 
     def evaluate(self, profile: Profile) -> str:
         self._check_profile(profile)
-        return pure_majority(profile)
+        return _winner(tally(profile))
 
 
 class MaySignRule(RuleFamily):
+    """Sign of the ballot sum over the {-1, 0, 1} alphabet."""
+
     def __init__(self):
         super().__init__(Alphabet.may(), "may-sign")
 
     def evaluate(self, profile: Profile) -> str:
-        return may_sign_rule(profile)
+        if set(profile.alphabet.alternatives) != {"-1", "0", "1"} or profile.alphabet.bot != "0":
+            raise RuleDomainError("may-sign requires the {-1, 0, 1} alphabet with tie 0")
+        total = sum(int(b) for b in profile.ballots)
+        return str((total > 0) - (total < 0))
 
 
 class QuorumRule(RuleFamily):
+    """Tie below a turnout threshold, pure majority at or above it.
+
+    ``literal`` counts every ballot toward the threshold, abstentions included;
+    ``participation`` counts only non-tie ballots.  The literal variant is the
+    naive reading of a quorum and is not tie-insertion invariant (the audit
+    engine exhibits the witness); the participation variant is.
+    """
+
     def __init__(self, alphabet: Alphabet, threshold: int, mode: str):
         if mode not in ("literal", "participation"):
             raise RuleDomainError(f"unknown quorum mode {mode!r}")
@@ -194,10 +148,22 @@ class QuorumRule(RuleFamily):
 
     def evaluate(self, profile: Profile) -> str:
         self._check_profile(profile)
-        return quorum_rule(profile, self.threshold, self.mode)
+        t = tally(profile)
+        turnout = len(profile)
+        if self.mode == "participation":
+            turnout -= t.count(self.alphabet.bot)
+        return _winner(t) if turnout >= self.threshold else self.alphabet.bot
 
 
 class SupermajorityRule(RuleFamily):
+    """Alternative exceeding ``quota`` of the denominator, else the tie symbol.
+
+    ``denom`` is "all" (every ballot counts toward the denominator) or "nonbot"
+    (tie ballots excluded).  Comparison is exact; for quota >= 1/2 at most one
+    alternative can qualify.  A profile where two alternatives qualify marks the
+    configuration ill-formed and is rejected rather than tie-broken.
+    """
+
     def __init__(self, alphabet: Alphabet, quota: Fraction, denom: str):
         if denom not in ("all", "nonbot"):
             raise RuleDomainError(f"unknown supermajority denominator {denom!r}")
@@ -211,10 +177,22 @@ class SupermajorityRule(RuleFamily):
 
     def evaluate(self, profile: Profile) -> str:
         self._check_profile(profile)
-        return supermajority(profile, self.quota, self.denom)
+        t = tally(profile)
+        base = len(profile)
+        if self.denom == "nonbot":
+            base -= t.count(self.alphabet.bot)
+        qualified = [s for s in self.alphabet.non_bot if t.count(s) > self.quota * base]
+        if len(qualified) > 1:
+            raise RuleDomainError(
+                f"quota {self.quota} with denominator {self.denom!r} admits two "
+                "qualifiers: ill-formed"
+            )
+        return qualified[0] if qualified else self.alphabet.bot
 
 
 class TabulatedRule(RuleFamily):
+    """Table lookup on the profile's non-tie ballot counts."""
+
     def __init__(self, family: TabulatedFamily, descriptor: str | None = None):
         if descriptor is None:
             descriptor = f"tabulated:sha256:{family.content_id()}"
@@ -223,7 +201,13 @@ class TabulatedRule(RuleFamily):
 
     def evaluate(self, profile: Profile) -> str:
         self._check_profile(profile)
-        return tabulated_evaluate(self.family, profile)
+        counts = tuple(map(profile.ballots.count, self.alphabet.non_bot))
+        total = sum(counts)
+        if total > self.family.horizon:
+            raise HorizonError(
+                f"signature total {total} exceeds family horizon {self.family.horizon}"
+            )
+        return self.family.table[counts]
 
 
 class FunctionRule(RuleFamily):

@@ -24,7 +24,6 @@ from votelab.rules import (
     SupermajorityRule,
     TabulatedFamily,
     TabulatedRule,
-    pure_majority,
     pure_majority_table,
 )
 from votelab import axioms
@@ -47,6 +46,10 @@ from votelab.axioms import (
 AB2 = Alphabet.make(2)
 AB3 = Alphabet.make(3)
 MAY = Alphabet.may()
+
+
+def pure_majority(p):
+    return PureMajorityRule(p.alphabet).evaluate(p)
 
 
 def prof(*ballots, alphabet=AB2):

@@ -13,17 +13,27 @@ from votelab.cli import (
     BallotParseError,
     family_from_json,
     family_json,
-    format_ballot_file,
     format_rank_line,
     main,
     parse_axiom_list,
     parse_ballot_file,
-    parse_rank_text,
     parse_rule,
 )
 from votelab.rules import pure_majority_table
 
 AB2 = Alphabet.make(2)
+
+
+def format_ballot_file(alphabet, ballots):
+    header = f"alternatives: {','.join(alphabet.alternatives)} bot: {alphabet.bot}"
+    return "\n".join([header, *ballots]) + "\n"
+
+
+def parse_rank_text(text, alphabet):
+    """One rank line, read through a ballot file over ``alphabet``."""
+    mode, _, orders = parse_ballot_file(format_ballot_file(alphabet, (text,)))
+    assert mode == "ranks" and len(orders) == 1
+    return orders[0]
 
 
 def write(tmp_path, name, text):
@@ -313,6 +323,21 @@ class TestBoundsAndDocs:
                      "--axioms", "C2-C6", "--out", str(out)]) == 3
         doc = json.loads(out.read_text())
         assert [r["status"] for r in doc["results"]] == ["pass"] * 4 + ["error"]
+
+    @pytest.mark.parametrize("horizon, entries", [
+        (-1, []),
+        (0.9, [[[0, 0], "_"]]),
+        (True, [[[0, 0], "_"], [[1, 0], "a"], [[0, 1], "b"]]),
+    ])
+    def test_family_with_a_bad_horizon_exits_2(self, tmp_path, capsys, horizon, entries):
+        doc = {**family_json(pure_majority_table(AB2, 0)), "horizon": horizon,
+               "entries": entries}
+        fam_path = write(tmp_path, "fam.json", json.dumps(doc))
+        out = tmp_path / "r.json"
+        assert main(["audit", "--rule", f"tabulated:{fam_path}", "--max-voters", "1",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "malformed tabulated family document" in capsys.readouterr().err
 
     def test_enumerate_document(self, tmp_path):
         out = str(tmp_path / "e.json")

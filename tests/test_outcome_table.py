@@ -40,7 +40,6 @@ from votelab.rules import (
     QuorumRule,
     SupermajorityRule,
     TabulatedRule,
-    pure_majority,
     pure_majority_table,
 )
 from votelab import axioms, cli
@@ -49,6 +48,10 @@ from votelab.axioms import ALL_AXIOMS, CheckResult, Witness
 AB2 = Alphabet.make(2)
 AB3 = Alphabet.make(3)
 MAY = Alphabet.may()
+
+
+def pure_majority(p):
+    return PureMajorityRule(p.alphabet).evaluate(p)
 
 
 # --- the oracle: one loop per checker, evaluating every profile it visits ----

@@ -17,6 +17,7 @@ from votelab.core import (
     strict_plurality,
     tally,
 )
+from votelab import rules
 from votelab.rules import (
     MaySignRule,
     PureMajorityRule,
@@ -24,12 +25,7 @@ from votelab.rules import (
     SupermajorityRule,
     TabulatedFamily,
     TabulatedRule,
-    may_sign_rule,
-    pure_majority,
     pure_majority_table,
-    quorum_rule,
-    supermajority,
-    tabulated_evaluate,
 )
 
 AB2 = Alphabet.make(2)
@@ -46,33 +42,33 @@ def mprof(*ballots):
 
 class TestMaySign:
     def test_positive_sum(self):
-        assert may_sign_rule(mprof("1", "1", "-1")) == "1"
+        assert MaySignRule().evaluate(mprof("1", "1", "-1")) == "1"
 
     def test_zero_sum(self):
-        assert may_sign_rule(mprof("0", "0", "0")) == "0"
+        assert MaySignRule().evaluate(mprof("0", "0", "0")) == "0"
 
     def test_negative_sum(self):
-        assert may_sign_rule(mprof("1", "-1", "-1", "0")) == "-1"
+        assert MaySignRule().evaluate(mprof("1", "-1", "-1", "0")) == "-1"
 
     def test_rejects_wrong_alphabet(self):
         with pytest.raises(RuleDomainError):
-            may_sign_rule(prof("a"))
+            MaySignRule().evaluate(prof("a"))
 
 
 class TestPureMajority:
     def test_conclusive(self):
-        assert pure_majority(prof("a", "a", "b", "_")) == "a"
+        assert PureMajorityRule(AB2).evaluate(prof("a", "a", "b", "_")) == "a"
 
     def test_top_tie(self):
-        assert pure_majority(prof("a", "b")) == "_"
+        assert PureMajorityRule(AB2).evaluate(prof("a", "b")) == "_"
 
     def test_empty(self):
-        assert pure_majority(prof()) == "_"
+        assert PureMajorityRule(AB2).evaluate(prof()) == "_"
 
     def test_winner_strictly_beats_all(self):
         # brute force: a conclusive outcome always has a strictly larger count
         for p in profiles_up_to(AB2, 6):
-            winner = pure_majority(p)
+            winner = PureMajorityRule(AB2).evaluate(p)
             if winner == "_":
                 continue
             t = tally(p)
@@ -84,64 +80,66 @@ class TestPureMajority:
         # identify a=-1 is absent: over the {-1, 0, 1} alphabet with tie 0 the
         # two rules coincide, exhaustively to size 8
         for p in profiles_up_to(MAY, 8):
-            assert pure_majority(p) == may_sign_rule(p)
+            assert PureMajorityRule(MAY).evaluate(p) == MaySignRule().evaluate(p)
 
 
 class TestQuorum:
     def test_literal_below_threshold(self):
-        assert quorum_rule(prof("a", "a"), 3, "literal") == "_"
+        assert QuorumRule(AB2, 3, "literal").evaluate(prof("a", "a")) == "_"
 
     def test_literal_counts_abstentions(self):
-        assert quorum_rule(prof("a", "a", "_"), 3, "literal") == "a"
+        assert QuorumRule(AB2, 3, "literal").evaluate(prof("a", "a", "_")) == "a"
 
     def test_participation_ignores_abstentions(self):
-        assert quorum_rule(prof("a", "a", "_"), 3, "participation") == "_"
+        assert QuorumRule(AB2, 3, "participation").evaluate(prof("a", "a", "_")) == "_"
 
     def test_rejects_bad_threshold(self):
         with pytest.raises(RuleDomainError):
-            quorum_rule(prof("a"), 0, "literal")
+            QuorumRule(AB2, 0, "literal")
 
     def test_participation_invariant_under_bot_extension(self):
+        rule = QuorumRule(AB2, 3, "participation")
         for p in profiles_up_to(AB2, 6):
-            assert quorum_rule(p, 3, "participation") == quorum_rule(
-                extend(p, "_"), 3, "participation"
-            )
+            assert rule.evaluate(p) == rule.evaluate(extend(p, "_"))
 
 
 class TestSupermajority:
     def test_all_votes_denominator(self):
-        assert supermajority(prof("a", "a", "b"), Fraction(1, 2), "all") == "a"
+        rule = SupermajorityRule(AB2, Fraction(1, 2), "all")
+        assert rule.evaluate(prof("a", "a", "b")) == "a"
 
     def test_all_votes_blocked_by_abstention(self):
-        assert supermajority(prof("a", "a", "b", "_"), Fraction(1, 2), "all") == "_"
+        rule = SupermajorityRule(AB2, Fraction(1, 2), "all")
+        assert rule.evaluate(prof("a", "a", "b", "_")) == "_"
 
     def test_nonbot_denominator(self):
-        assert supermajority(prof("a", "a", "b", "_"), Fraction(1, 2), "nonbot") == "a"
+        rule = SupermajorityRule(AB2, Fraction(1, 2), "nonbot")
+        assert rule.evaluate(prof("a", "a", "b", "_")) == "a"
 
     def test_threshold_is_strict(self):
-        assert supermajority(prof("a", "b"), Fraction(1, 2), "nonbot") == "_"
+        rule = SupermajorityRule(AB2, Fraction(1, 2), "nonbot")
+        assert rule.evaluate(prof("a", "b")) == "_"
 
     def test_two_qualifiers_rejected(self):
         with pytest.raises(RuleDomainError):
-            supermajority(prof("a", "a", "b", "b"), Fraction(1, 4), "all")
+            SupermajorityRule(AB2, Fraction(1, 4), "all").evaluate(prof("a", "a", "b", "b"))
 
     def test_nonbot_invariant_under_bot_extension(self):
+        rule = SupermajorityRule(AB2, Fraction(1, 2), "nonbot")
         for p in profiles_up_to(AB2, 6):
-            assert supermajority(p, Fraction(1, 2), "nonbot") == supermajority(
-                extend(p, "_"), Fraction(1, 2), "nonbot"
-            )
+            assert rule.evaluate(p) == rule.evaluate(extend(p, "_"))
 
 
 class TestTabulated:
     def test_pure_majority_table_lookup(self):
         fam = pure_majority_table(AB2, 4)
-        assert tabulated_evaluate(fam, prof("a", "b", "_")) == "_"
-        assert tabulated_evaluate(fam, prof("a", "_", "_")) == "a"
+        assert TabulatedRule(fam).evaluate(prof("a", "b", "_")) == "_"
+        assert TabulatedRule(fam).evaluate(prof("a", "_", "_")) == "a"
 
     def test_beyond_horizon_is_an_error(self):
         fam = pure_majority_table(AB2, 4)
         with pytest.raises(HorizonError):
-            tabulated_evaluate(fam, prof("a", "a", "a", "b", "b"))
+            TabulatedRule(fam).evaluate(prof("a", "a", "a", "b", "b"))
 
     def test_table_must_be_complete(self):
         fam = pure_majority_table(AB2, 2)
@@ -164,6 +162,17 @@ class TestTabulated:
         bad[(1, 1)] = "z"
         with pytest.raises(ValueError):
             TabulatedFamily(AB2, 2, bad)
+
+    @pytest.mark.parametrize("horizon", [-1, 0.9, 2.0, True, "2", 10 ** 12])
+    def test_horizon_is_checked_before_any_key_is_built(self, monkeypatch, horizon):
+        table = dict(pure_majority_table(AB2, 2).table)
+
+        def no_keys(*args):
+            raise AssertionError("signature keys built before the horizon was checked")
+
+        monkeypatch.setattr(rules, "signatures_up_to", no_keys)
+        with pytest.raises(ValueError):
+            TabulatedFamily(AB2, horizon, table)
 
     def test_rule_wrapper_descriptor_is_stable(self):
         fam = pure_majority_table(AB2, 4)
