@@ -17,6 +17,7 @@ from .core import (
     Alphabet,
     BoundError,
     Profile,
+    RuleDomainError,
     VoteLabError,
     compositions,
     profile_budget,
@@ -30,7 +31,8 @@ MAY_VALUES = (-1, 0, 1)
 
 # Bounds of the two enumerators.  They stay fixed rather than follow
 # core.PROFILE_BUDGET: what an enumeration costs grows with the families it
-# lists, not with profiles (at 3 alternatives, h=7 takes 76 s and 2.1 GB).
+# lists, not with profiles (at 3 alternatives, h=7 without C6 lists 356,160
+# families: 76 s and 2.1 GB).
 MAY_MAX_VOTERS = 4
 MAX_HORIZON = 8
 
@@ -187,10 +189,6 @@ class FamilySet:
             raise ValueError("families must be sorted and pairwise distinct")
 
 
-def _coordinate_permutations(k: int) -> list[tuple[int, ...]]:
-    return list(itertools.permutations(range(k)))
-
-
 def _permute_counts(counts: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
     # perm sends coordinate i to coordinate perm[i]
     out = [0] * len(counts)
@@ -213,17 +211,22 @@ def enumerate_c_families(alphabet: Alphabet, horizon: int, with_c6: bool = False
     with total <= horizon - 1 must have a conclusive one-step extension.
 
     Signatures are visited in nondecreasing total order so the consistency
-    constraint propagates forward only and prunes early.
+    constraint propagates forward only and prunes early.  A signature's C6 test
+    runs as soon as the last of its one-step extensions is assigned, so C6
+    prunes during the search too.  Fewer than 2 alternatives raise
+    RuleDomainError; more than 3, or a horizon outside 0..MAX_HORIZON, BoundError.
     """
     k = len(alphabet.non_bot)
-    if not 2 <= k <= 3:
+    if k < 2:
+        raise RuleDomainError("family enumeration needs at least 2 non-tie alternatives")
+    if k > 3:
         raise BoundError("family enumeration supports 2 or 3 non-tie alternatives")
     if not 0 <= horizon <= MAX_HORIZON:
         raise BoundError(f"horizon {horizon} outside bound 0..{MAX_HORIZON}")
 
     sigs = [s.counts for s in signatures_up_to(alphabet, horizon)]
     position = {s: i for i, s in enumerate(sigs)}
-    perms = _coordinate_permutations(k)
+    perms = list(itertools.permutations(range(k)))
     non_bot = alphabet.non_bot
     bot = alphabet.bot
 
@@ -236,20 +239,21 @@ def enumerate_c_families(alphabet: Alphabet, horizon: int, with_c6: bool = False
     stabilizer_allowed: dict[tuple[int, ...], list[str]] = {}
     rep_map_perm: dict[tuple[int, ...], tuple[int, ...]] = {}
     for s in sigs:
-        images = [_permute_counts(s, p) for p in perms]
-        rep = min(images)
-        orbit_rep[s] = rep
+        rep = orbit_rep[s] = min(_permute_counts(s, p) for p in perms)
         if rep == s:
             stab = [p for p in perms if _permute_counts(s, p) == s]
-            allowed = [bot] + [
-                v for v in non_bot if all(permute_value(v, p) == v for p in stab)
-            ]
-            stabilizer_allowed[s] = allowed
+            stabilizer_allowed[s] = [bot] + [
+                v for v in non_bot if all(permute_value(v, p) == v for p in stab)]
         else:
-            for p in perms:
-                if _permute_counts(rep, p) == s:
-                    rep_map_perm[s] = p
-                    break
+            rep_map_perm[s] = next(p for p in perms if _permute_counts(rep, p) == s)
+
+    # due[i]: (signature position, its extensions' positions) for each signature
+    # whose C6 test can run once position i is assigned
+    due: list[list[tuple[int, list[int]]]] = [[] for _ in sigs]
+    for i, s in enumerate(sigs):
+        if with_c6 and sum(s) < horizon:
+            ext = [position[s[:j] + (s[j] + 1,) + s[j + 1:]] for j in range(k)]
+            due[max(ext)].append((i, ext))
 
     assignment: list[str | None] = [None] * len(sigs)
     families: list[TabulatedFamily] = []
@@ -268,22 +272,9 @@ def enumerate_c_families(alphabet: Alphabet, horizon: int, with_c6: bool = False
                     return "__conflict__"
         return forced
 
-    def passes_c6(table: dict[tuple[int, ...], str]) -> bool:
-        for s in sigs:
-            if sum(s) > horizon - 1 or table[s] != bot:
-                continue
-            if not any(
-                table[s[:j] + (s[j] + 1,) + s[j + 1:]] != bot for j in range(k)
-            ):
-                return False
-        return True
-
     def backtrack(idx: int) -> None:
         if idx == len(sigs):
-            table = dict(zip(sigs, assignment))
-            if with_c6 and not passes_c6(table):
-                return
-            families.append(TabulatedFamily(alphabet, horizon, table))
+            families.append(TabulatedFamily(alphabet, horizon, dict(zip(sigs, assignment))))
             return
         s = sigs[idx]
         forced = forced_value(s)
@@ -299,7 +290,9 @@ def enumerate_c_families(alphabet: Alphabet, horizon: int, with_c6: bool = False
             candidates = [determined] if forced in (None, determined) else []
         for value in candidates:
             assignment[idx] = value
-            backtrack(idx + 1)
+            if not any(assignment[i] == bot and all(assignment[e] == bot for e in ext)
+                       for i, ext in due[idx]):
+                backtrack(idx + 1)
             assignment[idx] = None
 
     backtrack(0)
@@ -331,16 +324,12 @@ def rule_leq(f: RuleFamily, g: RuleFamily, n_max: int) -> tuple[bool, Profile | 
     return True, None
 
 
-def _table_leq(f: tuple[str, ...], g: tuple[str, ...], bot: str) -> bool:
-    """Whether value tuple f is at most g: wherever f is conclusive, g agrees."""
-    return all(v == bot or v == w for v, w in zip(f, g))
-
-
 def maximal_elements(family_set: FamilySet) -> tuple[TabulatedFamily, ...]:
     """Families with nothing strictly above them in the set.
 
-    f is strictly below g when f is at most g and the tables differ; the
-    comparison runs over the set's common horizon.
+    f is strictly below g when g agrees wherever f is conclusive and the tables
+    differ, over the set's common horizon.  Each table is one int, one bit per
+    (cell, non-tie value), so f is at most g exactly when ``F & ~G == 0``.
 
     On a truncated set such as ``enumerate_c_families(alphabet, h)`` the
     result includes horizon artifacts (see :func:`plurality_artifacts`):
@@ -348,11 +337,14 @@ def maximal_elements(family_set: FamilySet) -> tuple[TabulatedFamily, ...]:
     consistent rule.  Pure majority is the unique maximal element of the
     horizon-h restrictions of the horizon-2h set, which are free of them.
     """
-    bot = family_set.alphabet.bot
-    values = [f.value_tuple() for f in family_set.families]
+    non_bot = family_set.alphabet.non_bot
+    bits = {v: format(1 << j, f"0{len(non_bot)}b") for j, v in enumerate(non_bot)}
+    bits[family_set.alphabet.bot] = "0" * len(non_bot)
+    masks = [int("".join(map(bits.__getitem__, f.value_tuple())), 2)
+             for f in family_set.families]
     return tuple(
-        f for f, v in zip(family_set.families, values)
-        if not any(w != v and _table_leq(v, w, bot) for w in values)
+        f for f, m in zip(family_set.families, masks)
+        if not any(m != g and m & ~g == 0 for g in masks)
     )
 
 

@@ -263,6 +263,13 @@ class TestBoundsAndDocs:
     def test_enumerate_bound_exits_3(self):
         assert main(["enumerate", "--horizon", "99"]) == 3
 
+    def test_enumerate_with_one_alternative_exits_2(self, capsys, tmp_path):
+        out = tmp_path / "e.json"
+        assert main(["enumerate", "--alternatives", "1", "--horizon", "2",
+                     "--out", str(out)]) == 2
+        assert "at least 2 non-tie alternatives" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_may_bound_exits_3(self):
         assert main(["may", "--voters", "9"]) == 3
 

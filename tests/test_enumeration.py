@@ -2,7 +2,9 @@ import itertools
 
 import pytest
 
-from votelab.core import Alphabet, BoundError, Profile, profiles_of_size, signatures_up_to
+from votelab.core import (
+    Alphabet, BoundError, Profile, RuleDomainError, profiles_of_size, signatures_up_to,
+)
 from votelab.rules import (
     PureMajorityRule,
     QuorumRule,
@@ -232,6 +234,10 @@ class TestFamilyEnumeration:
             enumerate_c_families(AB2, 9)
         with pytest.raises(BoundError):
             enumerate_c_families(Alphabet.make(4), 3)
+
+    def test_one_alternative_is_a_domain_error(self):
+        with pytest.raises(RuleDomainError, match="at least 2 non-tie alternatives"):
+            enumerate_c_families(Alphabet.make(1), 2)
 
 
 # --- the conclusiveness order ------------------------------------------------
