@@ -31,6 +31,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
+from . import core
 from .core import BoundError
 
 Stance = int  # +1, 0, -1
@@ -151,7 +152,8 @@ class TabulatedSWF(SWF):
         self._values = tuple(values)
         self._codes = domain.codes
         if descriptor is None:
-            digest = hashlib.sha256("|".join(map(str, self._values)).encode()).hexdigest()[:12]
+            labels = [domain.labels.get(id(w)) or str(w) for w in self._values]
+            digest = hashlib.sha256("|".join(labels).encode()).hexdigest()[:12]
             descriptor = f"swf:sha256:{digest}"
         super().__init__(alternatives, n, descriptor)
 
@@ -254,6 +256,8 @@ class _OrderTables:
     def __init__(self, alternatives: tuple[str, ...], n: int):
         self.orders = enumerate_weak_orders(alternatives)
         self.index = {w: i for i, w in enumerate(self.orders)}
+        # str of each order above, keyed by identity: the tables keep the orders alive
+        self.labels = {id(w): str(w) for w in self.orders}
         self.pairs = tuple(_ordered_pairs(alternatives))
         self.pair_index = {q: p for p, q in enumerate(self.pairs)}
         self.stances = tuple(tuple(w.stance(a, b) for a, b in self.pairs) for w in self.orders)
@@ -502,99 +506,50 @@ def factor_into_pair_functions(
 
 # --- exhaustive search over pair-decomposable SWFs -------------------------
 
-_STANCES = (-1, 0, 1)
-
-
-def _stance_vectors(n: int) -> list[tuple[Stance, ...]]:
-    return list(itertools.product(_STANCES, repeat=n))
-
-
-def _monotone_pair_functions(n: int) -> list[tuple[Stance, ...]]:
-    """All monotone stance aggregators attaining both strict stances.
-
-    A pair function maps each vector of per-voter stances to a social stance;
-    monotonicity (one voter's stance rising never lowers the social stance) is
-    exactly the pair-level content of nonnegative responsiveness, and hitting
-    both strict stances is the pair-level content of non-imposition.
-    """
-    vectors = _stance_vectors(n)
-    vec_index = {v: i for i, v in enumerate(vectors)}
-    edges = []
-    for v in vectors:
-        for coord in range(n):
-            if v[coord] < 1:
-                up = v[:coord] + (v[coord] + 1,) + v[coord + 1:]
-                edges.append((vec_index[v], vec_index[up]))
-    out = []
-    for values in itertools.product(_STANCES, repeat=len(vectors)):
-        if 1 not in values or -1 not in values:
-            continue
-        if all(values[i] <= values[j] for i, j in edges):
-            out.append(values)
-    return out
+_MONOTONE = tuple((lo, hi) for lo in range(3) for hi in range(lo, 3))  # value bits
 
 
 def arrow_search(n: int = 2, alternatives: tuple[str, ...] = ("a", "b", "c")) -> tuple[TabulatedSWF, ...]:
     """All SWFs satisfying soundness, responsiveness, pair independence and
-    non-imposition, by per-pair decomposition; desk scale only.
+    non-imposition, by constraint propagation; desk scale only.
 
-    Pair independence makes every candidate factor into three pair functions;
-    responsiveness and non-imposition prune each factor independently; the
-    final join keeps exactly the combinations whose induced relation is a
-    total preorder on every profile.  Output is canonically sorted and
-    independent of processing order.
+    Pair independence makes every candidate factor into three pair functions
+    on ((a,b), (b,c), (a,c)): one variable per pair and stance vector, a mask
+    over the stances (bit stance + 1).  Responsiveness makes each pair function
+    monotone (one voter's stance rising never lowers the social stance); under
+    that, non-imposition is exactly f(all +1) = +1 and f(all -1) = -1; and on
+    every profile the three social stances must be one weak order's.  Output
+    is canonically sorted and independent of processing order.
     """
-    if n not in (1, 2) or len(alternatives) != 3:
-        raise BoundError("search is desk-scale only: 1 or 2 voters, exactly 3 alternatives")
-
-    a, b, c = alternatives
-    # each weak order's stances on ((a,b), (b,c), (a,c)): exactly the stance
-    # triples that induce a total preorder
-    triple_order = {(w.stance(a, b), w.stance(b, c), w.stance(a, c)): w
-                    for w in enumerate_weak_orders(alternatives)}
-
-    vectors = _stance_vectors(n)
-    vec_index = {v: i for i, v in enumerate(vectors)}
-    candidates = _monotone_pair_functions(n)
+    if (isinstance(n, bool) or not isinstance(n, int) or n not in (1, 2, 3)
+            or len(alternatives) != 3):
+        raise BoundError("search is desk-scale only: 1 to 3 voters, exactly 3 alternatives")
 
     domain = _tables(alternatives, n)
-    by_pair = (domain.voter_stances[domain.pair_index[q]] for q in ((a, b), (b, c), (a, c)))
-    realized = [(vec_index[u], vec_index[v], vec_index[t]) for u, v, t in zip(*by_pair)]
-    realized_set = sorted(set(realized))
-
-    # allowed third stances per (first, second) stance pair
-    allowed_mask = [[0] * 3 for _ in range(3)]
-    for (sab, sbc, sac) in triple_order:
-        allowed_mask[sab + 1][sbc + 1] |= 1 << (sac + 1)
-
-    full_mask = (1 << len(_STANCES)) - 1
-    candidate_masks = [
-        tuple(1 << (value + 1) for value in cand) for cand in candidates
-    ]
-
-    survivors = []
-    for p_ab in candidates:
-        for p_bc in candidates:
-            masks = [full_mask] * len(vectors)
-            dead = False
-            for (u, v, t) in realized_set:
-                masks[t] &= allowed_mask[p_ab[u] + 1][p_bc[v] + 1]
-                if masks[t] == 0:
-                    dead = True
-                    break
-            if dead:
-                continue
-            for k, p_ac in enumerate(candidates):
-                mk = candidate_masks[k]
-                if all(mk[t] & masks[t] for t in range(len(vectors))):
-                    survivors.append((p_ab, p_bc, p_ac))
-
-    tables = [
-        TabulatedSWF(alternatives, n, [triple_order[(p_ab[u], p_bc[v], p_ac[t])]
-                                       for u, v, t in realized])
-        for p_ab, p_bc, p_ac in survivors
-    ]
-
-    unique = {t.value_tuple(): t for t in tables}  # equal values: equal tables
-    return tuple(sorted(unique.values(),
-                        key=lambda s: tuple(domain.index[w] for w in s.value_tuple())))
+    a, b, c = alternatives
+    pairs = [domain.pair_index[q] for q in ((a, b), (b, c), (a, c))]
+    # variable k*size + s: pair k's stance at the stance vector coded s (base 3,
+    # digit stance + 1, voter 0 most significant: the order of product below)
+    size = 3 ** n
+    vector_code = {u: s for s, u in enumerate(itertools.product((-1, 0, 1), repeat=n))}
+    watch: core.Watch = [[] for _ in range(3 * size)]
+    for x in range(3 * size):  # monotone: one voter's stance up one step
+        for step in (3 ** v for v in range(n)):
+            if x // step % 3 < 2:
+                core.post(watch, (x, x + step), _MONOTONE)
+    # each profile's three social stances are one weak order's
+    triples = tuple(tuple(row[p] + 1 for p in pairs) for row in domain.stances)
+    profile_vars = [tuple(k * size + vector_code[domain.voter_stances[p][code]]
+                          for k, p in enumerate(pairs)) for code in range(len(domain.profiles))]
+    for x in profile_vars:
+        core.post(watch, x, triples)
+    masks = ([1] + [7] * (size - 2) + [4]) * 3  # non-imposition: f(-1...) = -1, f(+1...) = +1
+    order_at = {1 << ab | 1 << bc + 3 | 1 << ac + 6: i for i, (ab, bc, ac) in enumerate(triples)}
+    found = set()  # each solution's social order index on every profile
+    for m in core.solutions(masks, watch):
+        w = [mask << 3 * (x // size) for x, mask in enumerate(m)]  # pair k: bits 3k..3k+2
+        found.add(bytes([order_at[w[u] | w[v] | w[t]] for u, v, t in profile_vars]))
+    # bytes of order indices sort as the tuples of them do
+    orders = domain.orders
+    return tuple(TabulatedSWF(alternatives, n, tuple(map(orders.__getitem__, key)))
+                 for key in sorted(found))

@@ -10,9 +10,11 @@ identical documents.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .core import (
@@ -291,7 +293,37 @@ def audit_json(report: AuditReport, parameters: dict) -> dict:
 
 
 def render_document(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """``json.dumps(doc, indent=2)`` and a newline, keys all str; written here
+    because with ``indent`` set the stdlib uses its pure-Python encoder."""
+    out: list[str] = []
+    _write_json(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+# a document repeats its keys, labels and small numbers: encode each once
+_encode_str = functools.lru_cache(maxsize=4096)(encode_basestring_ascii)
+_encode_int = functools.lru_cache(maxsize=4096)(int.__repr__)
+
+
+def _write_json(value: object, newline: str, out: list[str]) -> None:
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif type(value) is int:
+        out.append(_encode_int(value))
+    elif isinstance(value, (dict, list, tuple)) and value:
+        inner, keyed = newline + "  ", isinstance(value, dict)
+        sep, comma = ("{" if keyed else "[") + inner, "," + inner
+        for item in value.items() if keyed else value:
+            out.append(sep)
+            if keyed:
+                out += _encode_str(item[0]), ": "
+                item = item[1]
+            _write_json(item, inner, out)
+            sep = comma
+        out.append(newline + ("}" if keyed else "]"))
+    else:  # None, bools, floats and empty containers, as the stdlib writes them
+        out.append(json.dumps(value))
 
 
 def _emit(doc: dict, out_path: str | None) -> None:
@@ -386,6 +418,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     alphabet = _make_alphabet(args.alternatives)
     fs = enumerate_c_families(alphabet, args.horizon, with_c6=args.with_c6)
     artifacts = plurality_artifacts(fs)
+    position = {f.value_tuple(): i for i, f in enumerate(fs.families)}
     artifact_sigs = {f.value_tuple(): sig for f, sig in artifacts}
     maximal = maximal_elements(fs)
     maximal_ids = {f.value_tuple() for f in maximal}
@@ -406,7 +439,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         "findings": {
             "plurality_artifacts": [
                 {
-                    "family": fs.families.index(f),
+                    "family": position[f.value_tuple()],
                     "signature": list(sig),
                     "note": "conclusive against the strict count winner beyond "
                     "the half-horizon soundness region",

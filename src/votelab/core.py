@@ -12,7 +12,7 @@ import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Container, Hashable, Iterator, Mapping, Sequence
+from typing import Container, Hashable, Iterable, Iterator, Mapping, Sequence
 
 
 class VoteLabError(Exception):
@@ -289,3 +289,62 @@ def table_values(table: Mapping, keys: Sequence[Hashable], allowed: Container) -
             raise ValueError(f"table value {value!r} not in {allowed}")
     return values
 
+
+# --- constraint propagation over value masks ------------------------------------
+# A variable's domain is a mask over at most three values (bits 0-2).  ``post``
+# files a constraint as one revision row per variable, watched by each of the
+# others: (the variable, the others, the mask of its values supported under
+# every packing of the others' masks, 3 bits each, first other most significant).
+
+Watch = list[list[tuple[int, tuple[int, ...], tuple[int, ...]]]]
+
+
+@functools.lru_cache(maxsize=None)
+def _supports(allowed: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    return tuple(
+        tuple(sum({1 << t[pos] for t in allowed
+                   if all(m >> b & 1 for m, b in zip(others, t[:pos] + t[pos + 1:]))})
+              for others in itertools.product(range(8), repeat=len(allowed[0]) - 1))
+        for pos in range(len(allowed[0])))
+
+
+def post(watch: Watch, variables: tuple[int, ...], allowed: tuple[tuple[int, ...], ...]) -> None:
+    """Constrain ``variables`` to one of the ``allowed`` tuples of value bits."""
+    for pos, (x, support) in enumerate(zip(variables, _supports(allowed))):
+        others = variables[:pos] + variables[pos + 1:]
+        for y in others:
+            watch[y].append((x, others, support))
+
+
+def propagate(masks: list[int], watch: Watch, changed: Iterable[int]) -> bool:
+    """Narrow ``masks`` in place until every value left has support in every
+    constraint on its variable; False as soon as some mask is empty."""
+    stack = list(changed)
+    while stack:
+        for x, others, support in watch[stack.pop()]:
+            key = 0
+            for y in others:
+                key = key << 3 | masks[y]
+            narrowed = masks[x] & support[key]
+            if narrowed != masks[x]:
+                if not narrowed:
+                    return False
+                masks[x] = narrowed
+                stack.append(x)
+    return True
+
+
+def solutions(masks: list[int], watch: Watch,
+              changed: Iterable[int] | None = None) -> Iterator[list[int]]:
+    """Every assignment the constraints allow, as one-bit masks: propagate from
+    the ``changed`` variables (all by default) to a fixpoint, then branch on
+    the first variable left open."""
+    if not propagate(masks, watch, range(len(masks)) if changed is None else changed):
+        return
+    x = next((x for x, m in enumerate(masks) if m & m - 1), None)
+    if x is None:
+        yield masks
+        return
+    for bit in (1, 2, 4):
+        if masks[x] & bit:
+            yield from solutions(masks[:x] + [bit] + masks[x + 1:], watch, (x,))

@@ -192,8 +192,9 @@ class TestPairwiseMajority:
 
 class TestArrowSearch:
     def test_bounds_rejected(self):
-        with pytest.raises(BoundError):
-            arrow_search(3, ALTS)
+        for n in (4, 0, True, 2.0):
+            with pytest.raises(BoundError):
+                arrow_search(n, ALTS)
         with pytest.raises(BoundError):
             arrow_search(2, ("a", "b"))
 

@@ -1,0 +1,233 @@
+"""``arrow_search`` by constraint propagation, held to the pair-function join
+it replaced (n = 1, 2) and to certificates checked on its survivors (n = 3).
+
+``old_search`` below is that join, kept as an independent oracle: every
+monotone pair function attaining both strict stances is listed by brute force,
+and the survivors are the (ab, bc, ac) combinations inducing a weak order on
+every profile.  The n = 3 survivors are certified on their own pair functions:
+each is pair independent, has the same strict dictator on all three pairs,
+and merging its voters 1 and 2 gives an n = 2 survivor (Tang and Lin's voter
+reduction).
+"""
+
+import hashlib
+import itertools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from votelab import arrow, core
+from votelab.arrow import (
+    arrow_search,
+    enumerate_weak_orders,
+    find_dictator,
+    sorted_profiles,
+)
+from votelab.core import BoundError
+
+ALTS = ("a", "b", "c")
+ALTERNATIVE_NAMES = [("a", "b", "c"), ("c", "a", "b"), ("x", "y", "z")]
+STANCES = (-1, 0, 1)
+
+
+# --- the oracle: the pair-function join --------------------------------------------
+
+
+def old_monotone_pair_functions(n):
+    vectors = list(itertools.product(STANCES, repeat=n))
+    vec_index = {v: i for i, v in enumerate(vectors)}
+    edges = []
+    for v in vectors:
+        for coord in range(n):
+            if v[coord] < 1:
+                up = v[:coord] + (v[coord] + 1,) + v[coord + 1:]
+                edges.append((vec_index[v], vec_index[up]))
+    out = []
+    for values in itertools.product(STANCES, repeat=len(vectors)):
+        if 1 not in values or -1 not in values:
+            continue
+        if all(values[i] <= values[j] for i, j in edges):
+            out.append(values)
+    return out
+
+
+def old_search(n, alternatives):
+    """(value tuple, descriptor) of every survivor, in the search's order."""
+    a, b, c = alternatives
+    orders = enumerate_weak_orders(alternatives)
+    triple_order = {(w.stance(a, b), w.stance(b, c), w.stance(a, c)): w for w in orders}
+    vectors = list(itertools.product(STANCES, repeat=n))
+    vec_index = {v: i for i, v in enumerate(vectors)}
+    candidates = old_monotone_pair_functions(n)
+    realized = [tuple(vec_index[tuple(w.stance(*q) for w in x)]
+                      for q in ((a, b), (b, c), (a, c)))
+                for x in sorted_profiles(alternatives, n)]
+    realized_set = sorted(set(realized))
+    allowed_mask = [[0] * 3 for _ in range(3)]
+    for sab, sbc, sac in triple_order:
+        allowed_mask[sab + 1][sbc + 1] |= 1 << (sac + 1)
+    candidate_masks = [tuple(1 << (value + 1) for value in cand) for cand in candidates]
+    survivors = []
+    for p_ab in candidates:
+        for p_bc in candidates:
+            masks = [7] * len(vectors)
+            dead = False
+            for u, v, t in realized_set:
+                masks[t] &= allowed_mask[p_ab[u] + 1][p_bc[v] + 1]
+                if masks[t] == 0:
+                    dead = True
+                    break
+            if dead:
+                continue
+            for k, p_ac in enumerate(candidates):
+                if all(candidate_masks[k][t] & masks[t] for t in range(len(vectors))):
+                    survivors.append((p_ab, p_bc, p_ac))
+    tables = {tuple(triple_order[(p_ab[u], p_bc[v], p_ac[t])] for u, v, t in realized)
+              for p_ab, p_bc, p_ac in survivors}
+    out = sorted(tables, key=lambda values: tuple(orders.index(w) for w in values))
+    return [(values, "swf:sha256:" + hashlib.sha256(
+        "|".join(map(str, values)).encode()).hexdigest()[:12]) for values in out]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("alternatives", ALTERNATIVE_NAMES)
+def test_search_matches_the_pair_join(alternatives, n):
+    got = [(s.value_tuple(), s.descriptor) for s in arrow_search(n, alternatives)]
+    assert got == old_search(n, alternatives)
+
+
+def test_bounds_are_checked_before_any_table_is_built():
+    before = arrow._tables.cache_info()
+    for n, alternatives in ((4, ALTS), (0, ALTS), (True, ALTS), (2.0, ALTS), (-1, ALTS),
+                            ("2", ALTS), (2, ("a", "b")), (3, ("a", "b", "c", "d"))):
+        with pytest.raises(BoundError):
+            arrow_search(n, alternatives)
+    assert arrow._tables.cache_info() == before
+
+
+# --- the propagator, against brute force ----------------------------------------------
+
+VALUES = (0, 1, 2)
+
+
+@st.composite
+def constraint_problems(draw):
+    size = draw(st.integers(2, 4))
+    masks = draw(st.lists(st.integers(1, 7), min_size=size, max_size=size))
+    constraints = []
+    for _ in range(draw(st.integers(0, 4))):
+        variables = tuple(draw(st.permutations(range(size)))[:draw(st.integers(2, 3))])
+        space = list(itertools.product(VALUES, repeat=len(variables)))
+        allowed = draw(st.lists(st.sampled_from(space), min_size=1, unique=True))
+        constraints.append((variables, tuple(allowed)))
+    return masks, constraints
+
+
+@settings(max_examples=200, deadline=None)
+@given(constraint_problems())
+def test_solutions_match_brute_force(problem):
+    masks, constraints = problem
+    watch = [[] for _ in masks]
+    for variables, allowed in constraints:
+        core.post(watch, variables, allowed)
+    got = sorted(tuple(m.bit_length() - 1 for m in solution)
+                 for solution in core.solutions(list(masks), watch))
+    want = [values for values in itertools.product(VALUES, repeat=len(masks))
+            if all(m >> v & 1 for m, v in zip(masks, values))
+            and all(tuple(values[x] for x in variables) in allowed
+                    for variables, allowed in constraints)]
+    assert got == want
+
+
+# --- n = 3: pins and certificates ---------------------------------------------------
+
+
+class PairFunctions:
+    """Reads a survivor's social stance on (a,b), (b,c) and (a,c) as a function
+    of the voters' stances on that pair, for one voter count.  Stance vectors
+    are coded by their index in ``vectors``, and stances and codes are kept as
+    bytes, so that a survivor is read by ``bytes.translate``."""
+
+    def __init__(self, n):
+        self.orders = enumerate_weak_orders(ALTS)
+        self.index = {w: i for i, w in enumerate(self.orders)}
+        self.by_id, self.seen = {}, []
+        pairs = (("a", "b"), ("b", "c"), ("a", "c"))
+        self.vectors = list(itertools.product(STANCES, repeat=n))
+        code = {s: i for i, s in enumerate(self.vectors)}
+        profiles = sorted_profiles(ALTS, n)
+        # per pair: each profile's stance vector code, and one profile per code
+        self.keys = [bytes(code[tuple(w.stance(*q) for w in x)] for x in profiles)
+                     for q in pairs]
+        self.first = [[keys.index(i) for i in range(len(self.vectors))] for keys in self.keys]
+        # per pair: order index -> social stance + 1, as a translate table
+        self.stance_of = [bytes(w.stance(*q) + 1 for w in self.orders).ljust(256, b"\0")
+                          for q in pairs]
+
+    def __call__(self, swf):
+        """Per pair, {voter stances: social stance}; asserts that the social
+        stance depends on nothing else."""
+        values = swf.value_tuple()
+        try:  # each distinct order object is looked up by value once
+            codes = bytes(map(self.by_id.__getitem__, map(id, values)))
+        except KeyError:
+            for i, w in dict(zip(map(id, values), values)).items():
+                self.by_id[i] = self.index[w]
+                self.seen.append(w)  # kept alive, so its id is not reused
+            codes = bytes(map(self.by_id.__getitem__, map(id, values)))
+        functions = []
+        for keys, first, stance_of in zip(self.keys, self.first, self.stance_of):
+            social = codes.translate(stance_of)
+            g = bytes(map(social.__getitem__, first))
+            assert keys.translate(g.ljust(256, b"\0")) == social
+            functions.append({s: value - 1 for s, value in zip(self.vectors, g)})
+        return functions
+
+
+def strict_dictators(functions, n):
+    """Voters v with g(s) = s_v whenever s_v != 0, on all three pairs."""
+    return [v for v in range(n)
+            if all(social == s[v] for g in functions for s, social in g.items() if s[v])]
+
+
+@pytest.fixture(scope="module")
+def survivors3():
+    return arrow_search(3, ALTS)
+
+
+@pytest.fixture(scope="module")
+def functions3(survivors3):
+    read = PairFunctions(3)
+    return [read(swf) for swf in survivors3]
+
+
+# sha256 over the n = 3 survivors' descriptors, one per line, in search order
+SURVIVORS3_SHA256 = "c80ca9313e3613b674c4bdede32b5d1fa84d81548b0f0cb43e063ba70bc96690"
+
+
+def test_three_voter_pins(survivors3):
+    assert len(survivors3) == 3543
+    descriptors = "\n".join(s.descriptor for s in survivors3)
+    assert hashlib.sha256(descriptors.encode()).hexdigest() == SURVIVORS3_SHA256
+    orders = enumerate_weak_orders(ALTS)
+    keys = [tuple(orders.index(w) for w in s.value_tuple()) for s in survivors3[::350]]
+    assert keys == sorted(set(keys))
+
+
+def test_every_three_voter_survivor_has_a_strict_dictator(survivors3, functions3):
+    dictators = [strict_dictators(g, 3) for g in functions3]
+    assert all(dictators)
+    for i in range(0, len(survivors3), 354):  # a fixed sample of 11
+        assert find_dictator(survivors3[i]) == dictators[i][0]
+
+
+def test_merging_two_voters_gives_a_two_voter_survivor(functions3):
+    read = PairFunctions(2)
+    two = {tuple(tuple(sorted(g.items())) for g in read(swf))
+           for swf in arrow_search(2, ALTS)}
+    for functions in functions3:
+        merged = tuple(tuple(sorted((s, g[(s[0], s[1], s[1])])
+                                    for s in itertools.product(STANCES, repeat=2)))
+                       for g in functions)
+        assert merged in two

@@ -6,6 +6,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from votelab.arrow import WeakOrder, enumerate_weak_orders
 from votelab.core import Alphabet, Profile
@@ -18,6 +20,7 @@ from votelab.cli import (
     parse_axiom_list,
     parse_ballot_file,
     parse_rule,
+    render_document,
 )
 from votelab.rules import pure_majority_table
 
@@ -397,6 +400,31 @@ class TestBoundsAndDocs:
             pairs.append((open(out1, "rb").read(), open(out2, "rb").read()))
         for first, second in pairs:
             assert first == second
+
+
+json_documents = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**20, 10**20)
+    | st.text(st.characters(max_codepoint=0x1F600)) | st.sampled_from(['"', "\\", "\n\x00\x1f\x7f"]),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_documents)
+def test_render_document_writes_what_json_dumps_writes(doc):
+    assert render_document(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_plurality_artifacts_are_numbered_by_their_family_position(tmp_path):
+    out = str(tmp_path / "e.json")
+    assert main(["enumerate", "--alternatives", "2", "--horizon", "6", "--out", out]) == 0
+    doc = json.loads(open(out).read())
+    artifacts = doc["findings"]["plurality_artifacts"]
+    assert artifacts
+    numbered = [i for i, f in enumerate(doc["families"]) if f["plurality_artifact"]]
+    assert [a["family"] for a in artifacts] == numbered
 
 
 def test_console_entry_point(tmp_path):
