@@ -166,6 +166,8 @@ class Outcomes:
 
         def read(code: int) -> str:
             value = slots[code]
+            if type(value) is str:
+                return value
             if value is _PENDING:
                 try:
                     value = self.rule.evaluate(self.profile(size, code))
@@ -263,17 +265,28 @@ def _relabel_scan(
     table: Outcomes, size: int, perms: list[AltPermutation], axiom: str
 ) -> tuple[Witness | None, int]:
     """Relabeling at one profile size, with the profile count: the outcome of
-    each relabeled profile must be the relabeled outcome."""
+    each relabeled profile must be the relabeled outcome.
+
+    A code splits into a head and a tail of half the size each; the image
+    code is read from one table of relabeled codes per half."""
     k = table.k
     read = table.reader(size)
-    sigmas = [[table.digit(s) for s in perm.mapping] for perm in perms]
-    for code, digits in enumerate(itertools.product(range(k), repeat=size)):
+    low = size // 2
+    tail_codes = k ** low
+    maps = []
+    for perm in perms:
+        sigma = [table.digit(s) for s in perm.mapping]
+        images = [[0]]
+        for _ in range(size - low):
+            images.append([c * k + sigma[d] for c in images[-1] for d in range(k)])
+        maps.append((perm, dict(zip(perm.alphabet.alternatives, perm.mapping)),
+                     images[size - low], images[low]))
+    for code in range(k ** size):
         fx = read(code)
-        for perm, sigma in zip(perms, sigmas):
-            moved = 0
-            for d in digits:
-                moved = moved * k + sigma[d]
-            expected = perm.apply(fx)
+        head, tail = divmod(code, tail_codes)
+        for perm, relabel, hi, lo in maps:
+            moved = hi[head] * tail_codes + lo[tail]
+            expected = relabel[fx]
             observed = read(moved)
             if observed != expected:
                 w = Witness(axiom, table.profile(size, code), table.profile(size, moved),
@@ -414,6 +427,7 @@ def check_plurality_property(
     table = _table(rule, n_max, range(n_max + 1), outcomes)
     alphabet = rule.alphabet
     bot = alphabet.bot
+    winners: dict[tuple[int, ...], str | None] = {}  # one Tally per ballot multiset
     checked = 0
     for size in range(n_max + 1):
         read = table.reader(size)
@@ -422,7 +436,9 @@ def check_plurality_property(
             outcome = read(code)
             if outcome == bot:
                 continue
-            winner = strict_plurality(Tally(alphabet, counts))
+            if counts not in winners:
+                winners[counts] = strict_plurality(Tally(alphabet, counts))
+            winner = winners[counts]
             if winner != outcome:
                 w = Witness(PLURALITY_PROPERTY, table.profile(size, code), None,
                             expected=winner if winner is not None else bot,
@@ -508,21 +524,21 @@ def check_ma4(
     table = _table(rule, n, range(n, n + 1), outcomes)
     k = table.k
     value = [int(s) for s in rule.alphabet.alternatives]
+    # per voter and old ballot: each new ballot's code step and direction
+    moves = [[[((new - old) * k ** (n - 1 - v), "1" if value[new] > value[old] else "-1")
+               for new in range(k)
+               if new != old and (semantics == "in_favor" or value[new] == -value[old])]
+              for old in range(k)] for v in range(n)]
     read = table.reader(n)
     checked = 0
     for code, digits in enumerate(itertools.product(range(k), repeat=n)):
         checked += 1
         fx = read(code)
         for v, old in enumerate(digits):
-            for new in range(k):
-                if new == old:
-                    continue
-                if semantics == "flip" and (value[old] == 0 or value[new] != -value[old]):
-                    continue
-                direction = "1" if value[new] > value[old] else "-1"
+            for step, direction in moves[v][old]:
                 if fx not in ("0", direction):
                     continue
-                moved = code + (new - old) * k ** (n - 1 - v)
+                moved = code + step
                 observed = read(moved)
                 if observed != direction:
                     w = Witness(MA4, table.profile(n, code), table.profile(n, moved),

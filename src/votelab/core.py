@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Container, Hashable, Iterable, Iterator, Mapping, Sequence
 
@@ -84,8 +83,9 @@ class Profile:
     ballots: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        alternatives = self.alphabet.alternatives
         for b in self.ballots:
-            if b not in self.alphabet:
+            if b not in alternatives:
                 raise ValueError(f"ballot symbol {b!r} not in alphabet")
 
     def __len__(self) -> int:
@@ -166,8 +166,8 @@ class VoterPermutation:
 
 def tally(profile: Profile) -> Tally:
     """Count ballots per alternative."""
-    c = Counter(profile.ballots)
-    return Tally(profile.alphabet, tuple(c[s] for s in profile.alphabet.alternatives))
+    return Tally(profile.alphabet,
+                 tuple(map(profile.ballots.count, profile.alphabet.alternatives)))
 
 
 def apply_alt_permutation(profile: Profile, perm: AltPermutation) -> Profile:
@@ -195,8 +195,8 @@ def extend(profile: Profile, symbol: str) -> Profile:
 
 def signature(profile: Profile) -> CountSignature:
     """Non-tie counts; invariant under voter reordering and tie-ballot insertion."""
-    c = Counter(profile.ballots)
-    return CountSignature(profile.alphabet, tuple(c[s] for s in profile.alphabet.non_bot))
+    return CountSignature(profile.alphabet,
+                          tuple(map(profile.ballots.count, profile.alphabet.non_bot)))
 
 
 def strict_plurality(t: Tally) -> str | None:
@@ -208,8 +208,10 @@ def strict_plurality(t: Tally) -> str | None:
     best: str | None = None
     best_count = 0
     tied = False
-    for s in t.alphabet.non_bot:
-        n = t.count(s)
+    bot = t.alphabet.bot
+    for s, n in zip(t.alphabet.alternatives, t.counts):
+        if s == bot:
+            continue
         if n > best_count:
             best, best_count, tied = s, n, False
         elif n == best_count:

@@ -40,7 +40,7 @@ class RuleFamily:
         raise NotImplementedError
 
     def _check_profile(self, profile: Profile) -> None:
-        if profile.alphabet != self.alphabet:
+        if profile.alphabet is not self.alphabet and profile.alphabet != self.alphabet:
             raise RuleDomainError(
                 f"rule {self.descriptor!r} expects alphabet {self.alphabet.alternatives}"
             )
@@ -122,7 +122,8 @@ class MaySignRule(RuleFamily):
         super().__init__(Alphabet.may(), "may-sign")
 
     def evaluate(self, profile: Profile) -> str:
-        if set(profile.alphabet.alternatives) != {"-1", "0", "1"} or profile.alphabet.bot != "0":
+        a = profile.alphabet
+        if a is not self.alphabet and (set(a.alternatives) != {"-1", "0", "1"} or a.bot != "0"):
             raise RuleDomainError("may-sign requires the {-1, 0, 1} alphabet with tie 0")
         total = sum(int(b) for b in profile.ballots)
         return str((total > 0) - (total < 0))
@@ -179,9 +180,13 @@ class SupermajorityRule(RuleFamily):
         self._check_profile(profile)
         t = tally(profile)
         base = len(profile)
+        bot = self.alphabet.bot
         if self.denom == "nonbot":
-            base -= t.count(self.alphabet.bot)
-        qualified = [s for s in self.alphabet.non_bot if t.count(s) > self.quota * base]
+            base -= t.count(bot)
+        # count > quota * base, in integers
+        bar, den = self.quota.numerator * base, self.quota.denominator
+        qualified = [s for s, count in zip(self.alphabet.alternatives, t.counts)
+                     if s != bot and count * den > bar]
         if len(qualified) > 1:
             raise RuleDomainError(
                 f"quota {self.quota} with denominator {self.denom!r} admits two "

@@ -203,12 +203,8 @@ class TestArrowSearch:
         assert len(survivors) == 136  # frozen from the deterministic search
         tables = [s.value_tuple() for s in survivors]
         assert len(set(tables)) == len(tables)
-        assert tables == sorted(
-            tables,
-            key=lambda t: tuple(
-                enumerate_weak_orders(ALTS).index(w) for w in t
-            ),
-        )
+        index = {w: i for i, w in enumerate(enumerate_weak_orders(ALTS))}
+        assert tables == sorted(tables, key=lambda t: tuple(index[w] for w in t))
         profiles = sorted_profiles(ALTS, 2)
         for v in (0, 1):
             proj = projection_swf(ALTS, 2, v)

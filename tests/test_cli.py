@@ -4,13 +4,15 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from votelab import cli
 from votelab.arrow import WeakOrder, enumerate_weak_orders
-from votelab.core import Alphabet, Profile
+from votelab.core import Alphabet, Profile, extend
 from votelab.cli import (
     BallotParseError,
     family_from_json,
@@ -425,6 +427,82 @@ def test_plurality_artifacts_are_numbered_by_their_family_position(tmp_path):
     assert artifacts
     numbered = [i for i, f in enumerate(doc["families"]) if f["plurality_artifact"]]
     assert [a["family"] for a in artifacts] == numbered
+
+
+def test_one_parser_serves_every_call_as_a_fresh_one_would(capsys, monkeypatch):
+    calls = [
+        ["audit", "--rule", "quorum:literal:2", "--alternatives", "2", "--max-voters", "3"],
+        ["order", "quorum:participation:2", "pure-majority", "--max-voters", "3"],
+        ["may", "--voters", "2", "--semantics", "flip"],
+        ["enumerate", "--alternatives", "2", "--horizon", "3"],
+    ]
+    missing_bound = ["audit", "--rule", "pure-majority"]  # argparse exits 2
+    sequence = calls + [missing_bound] + calls[::-1]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    shared = [run(argv) for argv in sequence]
+    assert cli._shared_parser() is cli._shared_parser()
+    monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
+    fresh = [run(argv) for argv in sequence]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [1, 0, 0, 0, 2, 0, 0, 0, 1]
+    assert "required: --max-voters" in shared[4][2]
+
+
+ALL_C_AND_DERIVED = "C2-C6,PLURALITY_PROPERTY,UNAVOIDABLE_TIES,TIE_CLOSURE"
+
+audited_rules = st.one_of(
+    st.builds("quorum:{}:{}".format, st.sampled_from(["literal", "participation"]),
+              st.integers(1, 6)),
+    st.builds(lambda denom, b, a: f"supermajority:{denom}:{a % (b - 1) + 1}/{b}",
+              st.sampled_from(["all", "nonbot"]), st.integers(2, 6), st.integers(1, 5)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(audited_rules, st.integers(2, 3), st.integers(0, 5))
+def test_every_fail_witness_reparses_and_reevaluates(descriptor, k, n_max):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "report.json")
+        code = main(["audit", "--rule", descriptor, "--alternatives", str(k),
+                     "--max-voters", str(n_max), "--axioms", ALL_C_AND_DERIVED, "--out", out])
+        with open(out, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    statuses = [r["status"] for r in doc["results"]]
+    assert code == (2 if "error" in statuses else 1 if "fail" in statuses else 0)
+    alphabet = Alphabet(tuple(doc["bounds"]["alternatives"]), doc["bounds"]["bot"])
+
+    def reparsed(ballots):
+        mode, parsed_alphabet, parsed = parse_ballot_file(format_ballot_file(alphabet, ballots))
+        assert mode == "choices" and parsed_alphabet == alphabet
+        return Profile(parsed_alphabet, parsed)
+
+    rule = parse_rule(descriptor, alphabet)
+    bot = alphabet.bot
+    for result in doc["results"]:
+        w = result["witness"]
+        if result["status"] != "fail":
+            assert w is None
+            continue
+        base = reparsed(w["profile"])
+        before = rule.evaluate(base)
+        if w["moved_to"] is not None:
+            assert rule.evaluate(reparsed(w["moved_to"])) == w["observed"]
+            relabel = w["alt_permutation"] or {s: s for s in alphabet.alternatives}
+            assert relabel[before] == w["expected"]
+            assert (w["alt_permutation"] is not None) == (w["axiom"] == "C2")
+            continue
+        # these rules are plurality-sound, so only C6 fails without a move:
+        # the profile is tied, and so is every one-voter extension
+        assert (w["axiom"], w["expected"], w["observed"], before) == ("C6", None, bot, bot)
+        assert all(rule.evaluate(extend(base, s)) == bot for s in alphabet.alternatives)
 
 
 def test_console_entry_point(tmp_path):

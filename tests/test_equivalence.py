@@ -3,9 +3,11 @@ to the code they replaced.
 
 ``old_*`` below are copies of that code, kept as an independent oracle: the
 free ``tabulated_evaluate`` behind ``TabulatedRule``, the per-profile loop of
-``rule_leq``, and the stance triples ``arrow_search`` derived through a
-transitivity test.  The new code must give the same value or raise the same
-error, and ``rule_leq`` must evaluate the same profiles in the same order.
+``rule_leq``, the stance triples ``arrow_search`` derived through a
+transitivity test, the ``Counter`` tally, the ``Fraction`` supermajority
+threshold and the per-digit relabel fold.  The new code must give the same
+value or raise the same error, and ``rule_leq`` and ``check_c2`` must evaluate
+the same profiles in the same order.
 """
 
 import itertools
@@ -21,13 +23,18 @@ from votelab.arrow import (
     enumerate_weak_orders,
     sorted_profiles,
 )
+from votelab.axioms import CheckResult, Outcomes, Witness, check_c2
 from votelab.core import (
     Alphabet,
+    AltPermutation,
     HorizonError,
     RuleDomainError,
+    Tally,
     VoteLabError,
     profile_budget,
     profiles_up_to,
+    strict_plurality,
+    tally,
 )
 from votelab.enumeration import enumerate_c_families, rule_leq
 from votelab.rules import (
@@ -208,3 +215,155 @@ def test_tabulated_swf_refuses_a_profile_outside_its_table():
         swf.evaluate((orders[0],))
     with pytest.raises(KeyError):
         swf.evaluate((orders[0], WeakOrder((("b", "a", "c"),))))
+
+
+# --- raw-profile kernels against the code they replaced ---------------------------
+
+
+def old_tally(profile):
+    c = Counter(profile.ballots)
+    return Tally(profile.alphabet, tuple(c[s] for s in profile.alphabet.alternatives))
+
+
+def old_strict_plurality(t):
+    best = None
+    best_count = 0
+    tied = False
+    for s in t.alphabet.non_bot:
+        n = t.count(s)
+        if n > best_count:
+            best, best_count, tied = s, n, False
+        elif n == best_count:
+            tied = True
+    if best is None or best_count == 0 or tied:
+        return None
+    return best
+
+
+KERNEL_BOUNDS = [
+    (Alphabet.make(2), 6),
+    (Alphabet.make(3), 5),
+    (Alphabet.may(), 5),  # the tie symbol in the middle
+    (Alphabet(("_", "x", "y"), "_"), 5),  # the tie symbol first
+]
+
+
+@pytest.mark.parametrize("alphabet, n_max", KERNEL_BOUNDS, ids=lambda v: str(v))
+def test_tally_and_plurality_match_the_old_code(alphabet, n_max):
+    compared = 0
+    for p in profiles_up_to(alphabet, n_max):
+        t = tally(p)
+        assert t == old_tally(p)
+        assert strict_plurality(t) == old_strict_plurality(t)
+        compared += 1
+    assert compared == sum(len(alphabet.alternatives) ** s for s in range(n_max + 1))
+
+
+def old_supermajority(alphabet, quota, denom, profile):
+    t = old_tally(profile)
+    base = len(profile)
+    if denom == "nonbot":
+        base -= t.count(alphabet.bot)
+    qualified = [s for s in alphabet.non_bot if t.count(s) > quota * base]
+    if len(qualified) > 1:
+        raise RuleDomainError(
+            f"quota {quota} with denominator {denom!r} admits two qualifiers: ill-formed"
+        )
+    return qualified[0] if qualified else alphabet.bot
+
+
+@pytest.mark.parametrize("denom", ["all", "nonbot"])
+@pytest.mark.parametrize("a, b", [(a, b) for b in range(2, 7) for a in range(1, b)])
+def test_supermajority_matches_the_fraction_threshold(a, b, denom):
+    quota = Fraction(a, b)
+    on_threshold = 0
+    for alphabet, n_max in KERNEL_BOUNDS[:2]:
+        rule = SupermajorityRule(alphabet, quota, denom)
+        for p in profiles_up_to(alphabet, n_max):
+            assert outcome(rule.evaluate, p) == outcome(old_supermajority, alphabet, quota,
+                                                        denom, p)
+            base = len(p) - (p.ballots.count(alphabet.bot) if denom == "nonbot" else 0)
+            on_threshold += any(p.ballots.count(s) == quota * base > 0
+                                for s in alphabet.non_bot)
+    assert on_threshold > 0
+
+
+def relabellings(alphabet):
+    return [AltPermutation.from_non_bot_images(alphabet, images)
+            for images in itertools.permutations(alphabet.non_bot)
+            if images != alphabet.non_bot]
+
+
+def old_check_c2(rule, n_max):
+    """The old C2 checker: the per-digit fold over a fresh outcome table."""
+    table = Outcomes(rule)
+    perms = relabellings(rule.alphabet)
+    sigmas = [[table.digit(s) for s in perm.mapping] for perm in perms]
+    k = table.k
+    checked = 0
+    for size in range(n_max + 1):
+        read = table.reader(size)
+        for code, digits in enumerate(itertools.product(range(k), repeat=size)):
+            checked += 1
+            fx = read(code)
+            for perm, sigma in zip(perms, sigmas):
+                moved = 0
+                for d in digits:
+                    moved = moved * k + sigma[d]
+                expected = perm.apply(fx)
+                observed = read(moved)
+                if observed != expected:
+                    w = Witness("C2", table.profile(size, code), table.profile(size, moved),
+                                alt_permutation=perm, expected=expected, observed=observed)
+                    return CheckResult("C2", "fail", w, checked)
+    return CheckResult("C2", "pass", None, checked)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_relabel_image_codes_match_the_digit_fold(monkeypatch, k):
+    # every read is logged, repeats included, so each image code is compared
+    log = []
+    original = Outcomes.reader
+
+    def reader(self, size):
+        read = original(self, size)
+
+        def logged(code):
+            log.append((size, code))
+            return read(code)
+
+        return logged
+
+    monkeypatch.setattr(Outcomes, "reader", reader)
+    rule = FunctionRule(Alphabet.make(k - 1), lambda p: "_", "always-tie")
+    assert check_c2(rule, 5) == CheckResult("C2", "pass", None, sum(k ** s for s in range(6)))
+    new_reads = log[:]
+    log.clear()
+    old_check_c2(rule, 5)
+    assert new_reads == log
+
+
+AB3 = Alphabet.make(3)
+
+
+def a_leads_with_two(p):
+    return "a" if p.ballots.count("a") >= 2 else p.alphabet.bot
+
+
+C2_RULES = [
+    PureMajorityRule(AB3),
+    QuorumRule(AB3, 3, "literal"),
+    SupermajorityRule(AB3, Fraction(1, 2), "nonbot"),
+    FunctionRule(AB3, a_leads_with_two, "a-leads-with-two"),  # not neutral
+    FunctionRule(AB2, refuse_b_pairs, "refuse-b-pairs"),
+    FunctionRule(AB2, lambda p: "_", "always-tie"),
+]
+
+
+@pytest.mark.parametrize("rule", C2_RULES, ids=lambda r: r.descriptor)
+def test_check_c2_evaluates_what_the_old_fold_evaluated(rule):
+    new_log, old_log = [], []
+    new = outcome(check_c2, logged(rule, "r", new_log), 4)
+    old = outcome(old_check_c2, logged(rule, "r", old_log), 4)
+    assert new == old
+    assert new_log == old_log
