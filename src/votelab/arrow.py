@@ -14,13 +14,16 @@ dictator premise.  A profile is addressed by its base-m code (m weak orders,
 voter 0 the most significant digit: the order of ``sorted_profiles``; the
 tables map each profile to its code for ``TabulatedSWF``), so voter v
 switching from order i to order j leads from ``code`` to
-``code + (j - i)*m^(n-1-v)``.  During one check the SWF is evaluated on each
-profile once, when its code is first read, in the order in which a
-per-profile loop would first evaluate it; a social ``WeakOrder`` outside the
-index (blocks listed in another order, other alternatives) is read through
-``WeakOrder.stance`` pair by pair, so verdicts and raised errors do not depend
-on the tables.  An answer that is not a ``WeakOrder`` is read through its
-``stance`` too, so ``None`` raises AttributeError on its first stance read.
+``code + (j - i)*m^(n-1-v)``.  A ``TabulatedSWF`` is read by code and never
+evaluated; any other SWF is evaluated on each profile once during one check,
+when its code is first read, in the order in which a per-profile loop would
+first evaluate it.  A social order is found in the index by identity (the
+orders are built once, so tables, profiles and survivors share them), then by
+equality; a ``WeakOrder`` outside the index (blocks listed in another order,
+other alternatives) is read through ``WeakOrder.stance`` pair by pair, so
+verdicts and raised errors do not depend on the tables.  An answer that is not
+a ``WeakOrder`` is read through its ``stance`` too, so ``None`` raises
+AttributeError on its first stance read.
 """
 
 from __future__ import annotations
@@ -82,8 +85,10 @@ class WeakOrder:
         return " > ".join(" = ".join(block) for block in self.blocks)
 
 
+@functools.lru_cache(maxsize=None)
 def enumerate_weak_orders(alternatives: tuple[str, ...]) -> tuple[WeakOrder, ...]:
-    """All total preorders on the alternatives, canonically ordered.
+    """All total preorders on the alternatives, canonically ordered, built
+    once per alternatives tuple.
 
     Blocks keep the alternatives' given order internally; orders are produced
     by choosing the best block first, preferring smaller blocks, then earlier
@@ -120,6 +125,10 @@ class SWF:
 
     def evaluate(self, profile: ArrowProfile) -> WeakOrder:
         raise NotImplementedError
+
+    def _order_at(self, code: int, profiles: Sequence[ArrowProfile]) -> WeakOrder:
+        """The social order at ``profiles[code]``, the domain's profile of that code."""
+        return self.evaluate(profiles[code])
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.descriptor}>"
@@ -159,6 +168,9 @@ class TabulatedSWF(SWF):
 
     def evaluate(self, profile: ArrowProfile) -> WeakOrder:
         return self._values[self._codes[profile]]
+
+    def _order_at(self, code: int, profiles: Sequence[ArrowProfile]) -> WeakOrder:
+        return self._values[code]
 
     def value_tuple(self) -> tuple[WeakOrder, ...]:
         """Orders in canonical profile order; the table's identity for sorting."""
@@ -256,7 +268,8 @@ class _OrderTables:
     def __init__(self, alternatives: tuple[str, ...], n: int):
         self.orders = enumerate_weak_orders(alternatives)
         self.index = {w: i for i, w in enumerate(self.orders)}
-        # str of each order above, keyed by identity: the tables keep the orders alive
+        # index and str of each order above, keyed by identity: the tables keep them alive
+        self.at = {id(w): i for i, w in enumerate(self.orders)}
         self.labels = {id(w): str(w) for w in self.orders}
         self.pairs = tuple(_ordered_pairs(alternatives))
         self.pair_index = {q: p for p, q in enumerate(self.pairs)}
@@ -313,19 +326,22 @@ class _ForeignStances:
 
 
 def _social(swf: SWF, tables: _OrderTables) -> Callable[[int], _Row]:
-    """The stance row of the SWF's order at a profile code, evaluated the
-    first time the code is read and kept for the rest of the check."""
-    profiles, index, known = tables.profiles, tables.index, tables.stances
+    """The stance row of the SWF's order at a profile code, found the first
+    time the code is read (by code in a ``TabulatedSWF``, else by evaluating
+    the SWF) and kept for the rest of the check."""
+    profiles, at, index, known = tables.profiles, tables.at, tables.index, tables.stances
     rows: list[_Row | None] = [None] * len(profiles)
 
     def read(code: int) -> _Row:
         row = rows[code]
         if row is None:
-            order = swf.evaluate(profiles[code])
-            try:
-                i = index.get(order)
-            except TypeError:  # unhashable, so not an indexed order
-                i = None
+            order = swf._order_at(code, profiles)
+            i = at.get(id(order))
+            if i is None:
+                try:
+                    i = index.get(order)
+                except TypeError:  # unhashable, so not an indexed order
+                    pass
             row = known[i] if i is not None else _ForeignStances(order, tables.pairs)
             rows[code] = row
         return row

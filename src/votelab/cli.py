@@ -198,7 +198,14 @@ def parse_rule(descriptor: str, alphabet: Alphabet | None) -> RuleFamily:
 # --- tabulated family files -------------------------------------------------
 
 
+_entry = functools.lru_cache(maxsize=4096)(lambda *entry: entry)  # (counts, value), shared
+
+
 def family_json(family: TabulatedFamily) -> dict:
+    """The family file document.  Each entry is a shared ``(counts, value)``
+    tuple, one object for every family with that cell, so a document of many
+    families encodes each entry once per indent (see ``render_document``);
+    ``json`` writes a tuple as it writes a list."""
     return {
         "schema": 1,
         "kind": "tabulated-family",
@@ -206,7 +213,7 @@ def family_json(family: TabulatedFamily) -> dict:
         "bot": family.alphabet.bot,
         "horizon": family.horizon,
         "entries": [
-            [list(sig.counts), value]
+            _entry(sig.counts, value)
             for sig, value in zip(
                 signatures_up_to(family.alphabet, family.horizon), family.value_tuple()
             )
@@ -294,9 +301,14 @@ def audit_json(report: AuditReport, parameters: dict) -> dict:
 
 def render_document(doc: dict) -> str:
     """``json.dumps(doc, indent=2)`` and a newline, keys all str; written here
-    because with ``indent`` set the stdlib uses its pure-Python encoder."""
+    because with ``indent`` set the stdlib uses its pure-Python encoder.
+
+    Builders share repeated records as one object, so a container met again at
+    the same indent is encoded once: its text is copied from its first visit.
+    The memo is keyed by ``id`` and lives for this call only, while ``doc``
+    keeps every container in it alive."""
     out: list[str] = []
-    _write_json(doc, "\n", out)
+    _write_json(doc, "\n", out, {})
     out.append("\n")
     return "".join(out)
 
@@ -306,22 +318,31 @@ _encode_str = functools.lru_cache(maxsize=4096)(encode_basestring_ascii)
 _encode_int = functools.lru_cache(maxsize=4096)(int.__repr__)
 
 
-def _write_json(value: object, newline: str, out: list[str]) -> None:
+def _write_json(value: object, newline: str, out: list[str],
+                seen: dict[tuple[int, str], tuple[int, int] | str]) -> None:
     if isinstance(value, str):
         out.append(_encode_str(value))
     elif type(value) is int:
         out.append(_encode_int(value))
     elif isinstance(value, (dict, list, tuple)) and value:
-        inner, keyed = newline + "  ", isinstance(value, dict)
+        key = (id(value), newline)  # the newline carries the indent
+        done = seen.get(key)
+        if done is not None:  # where its text lies in ``out``, then the text itself
+            if type(done) is tuple:
+                done = seen[key] = "".join(out[done[0]:done[1]])
+            out.append(done)
+            return
+        start, inner, keyed = len(out), newline + "  ", isinstance(value, dict)
         sep, comma = ("{" if keyed else "[") + inner, "," + inner
         for item in value.items() if keyed else value:
             out.append(sep)
             if keyed:
                 out += _encode_str(item[0]), ": "
                 item = item[1]
-            _write_json(item, inner, out)
+            _write_json(item, inner, out, seen)
             sep = comma
         out.append(newline + ("}" if keyed else "]"))
+        seen[key] = start, len(out)
     else:  # None, bools, floats and empty containers, as the stdlib writes them
         out.append(json.dumps(value))
 
@@ -482,8 +503,11 @@ def cmd_arrow_search(args: argparse.Namespace) -> int:
     n = 2
     survivors = arrow_search(n, alternatives)
     profiles = sorted_profiles(alternatives, n)
-    lines = {w: format_rank_line(w) for w in enumerate_weak_orders(alternatives)}
-    rows = [[lines[w] for w in x] for x in profiles]  # shared by every survivor
+    # built once: the profiles and the survivors hold these order objects
+    lines = {id(w): format_rank_line(w) for w in enumerate_weak_orders(alternatives)}
+    rows = ([lines[id(w)] for w in x] for x in profiles)
+    # one cell per profile and order, shared by every survivor's table
+    cells = [{i: {"profile": row, "order": line} for i, line in lines.items()} for row in rows]
     doc = {
         **_report_header("arrow-search"),
         "parameters": {"voters": n, "alternatives": list(alternatives)},
@@ -493,10 +517,7 @@ def cmd_arrow_search(args: argparse.Namespace) -> int:
                 "descriptor": swf.descriptor,
                 "dictator": find_dictator(swf),
                 "dictator_premise": "strict",
-                "table": [
-                    {"profile": row, "order": lines[w]}
-                    for row, w in zip(rows, swf.value_tuple())
-                ],
+                "table": [cell[id(w)] for cell, w in zip(cells, swf.value_tuple())],
             }
             for swf in survivors
         ],

@@ -19,6 +19,7 @@ from votelab.arrow import (
     ArrowCheckResult,
     ArrowWitness,
     FunctionSWF,
+    TabulatedSWF,
     WeakOrder,
     anti_dictator_swf,
     arrow_search,
@@ -211,6 +212,36 @@ def test_every_survivor_matches_the_loops():
     assert len(survivors) == 136
     for swf in survivors:
         assert_matches_the_loops(swf)
+
+
+def tabulated_variants(survivors):
+    """Tables whose values the order index misses by identity: equal copies of
+    the indexed orders, an order with its blocks listed back to front, and
+    orders over other alternatives."""
+    tables = {}
+    for swf in (survivors[0], survivors[-1]):
+        values = swf.value_tuple()
+        tables[f"copies of {swf.descriptor}"] = [WeakOrder(w.blocks) for w in values]
+        for at, answer in ((0, reversed_blocks(enumerate_weak_orders(ALTS)[-1])),
+                           (100, WeakOrder((("a",), ("c", "b")))),
+                           (7, WeakOrder((("a", "b"),))),
+                           (150, WeakOrder((("a", "z"), ("b", "c"))))):
+            tables[f"{answer} at {at} in {swf.descriptor}"] = (
+                values[:at] + (answer,) + values[at + 1:])
+    return [TabulatedSWF(ALTS, 2, values, label) for label, values in tables.items()]
+
+
+def test_tables_are_read_by_code_as_they_would_be_evaluated():
+    # a TabulatedSWF is read from its value tuple; through ``counted`` it is
+    # evaluated profile by profile, which every other test compares to the loops
+    survivors = arrow_search(2, ALTS)
+    variants = tabulated_variants(survivors)
+    for swf in survivors + tuple(variants):
+        for name, (naive, args) in CHECKS.items():
+            got = outcome(checker(name), swf, *args)
+            assert got == outcome(checker(name), counted(swf)[0], *args), (name, swf)
+            if swf in variants:
+                assert got == outcome(naive, swf, *args), (name, swf)
 
 
 # --- drawn SWFs ------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import json
 import os
@@ -7,12 +9,12 @@ import sys
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from votelab import cli
 from votelab.arrow import WeakOrder, enumerate_weak_orders
-from votelab.core import Alphabet, Profile, extend
+from votelab.core import Alphabet, Profile, RuleDomainError, extend, profiles_of_size
 from votelab.cli import (
     BallotParseError,
     family_from_json,
@@ -419,6 +421,42 @@ def test_render_document_writes_what_json_dumps_writes(doc):
     assert render_document(doc) == json.dumps(doc, indent=2) + "\n"
 
 
+containers = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 5) | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=3) | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=12,
+).filter(lambda value: isinstance(value, (list, tuple, dict)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(containers, containers)
+def test_a_shared_container_renders_at_every_place_it_is_listed(shared, other):
+    parent = [shared, {"k": shared}, other]
+    documents = {
+        "twice at one indent": [shared, other, shared],
+        "at two indents": {"a": shared, "b": [shared, [shared]], "c": other},
+        "inside a shared parent": [parent, {"p": parent}, parent, [shared]],
+    }
+    for layout, doc in documents.items():
+        assert render_document(doc) == json.dumps(doc, indent=2) + "\n", layout
+
+
+def test_a_document_built_after_another_is_freed_renders_its_own_text():
+    # the second document's containers are allocated where the first one's
+    # were, so a memo that outlived one call would hand back the old text
+    seen, reused = set(), False
+    for turn in range(6):
+        row = [turn, str(turn), {"turn": [turn]}]
+        doc = {"rows": [row, [turn, "x"], row], "more": [[turn] for _ in range(8)]}
+        ids = {id(value) for value in (row, *doc["rows"], *doc["more"])}
+        reused |= bool(ids & seen)
+        seen |= ids
+        assert render_document(doc) == json.dumps(doc, indent=2) + "\n"
+        del row, doc
+    assert reused
+
+
 def test_plurality_artifacts_are_numbered_by_their_family_position(tmp_path):
     out = str(tmp_path / "e.json")
     assert main(["enumerate", "--alternatives", "2", "--horizon", "6", "--out", out]) == 0
@@ -503,6 +541,52 @@ def test_every_fail_witness_reparses_and_reevaluates(descriptor, k, n_max):
         # the profile is tied, and so is every one-voter extension
         assert (w["axiom"], w["expected"], w["observed"], before) == ("C6", None, bot, bot)
         assert all(rule.evaluate(extend(base, s)) == bot for s in alphabet.alternatives)
+
+
+ordered_rules = st.just("pure-majority") | audited_rules
+
+
+@settings(max_examples=40, deadline=None)
+@given(ordered_rules, ordered_rules, st.integers(2, 3), st.integers(0, 5))
+@example("pure-majority", "quorum:literal:2", 2, 3)
+def test_every_order_witness_reparses_and_is_of_least_size(rule_a, rule_b, k, n_max):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "order.json")
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["order", rule_a, rule_b, "--alternatives", str(k),
+                         "--max-voters", str(n_max), "--out", out])
+        written = os.path.exists(out)
+        if written:
+            with open(out, encoding="utf-8") as fh:
+                result = json.load(fh)["result"]
+    alphabet = Alphabet.make(k)
+    f, g = parse_rule(rule_a, alphabet), parse_rule(rule_b, alphabet)
+    bot = alphabet.bot
+
+    def below(profile):  # g is read only where f is conclusive
+        value = f.evaluate(profile)
+        return value == bot or value == g.evaluate(profile)
+
+    if code == 2:  # an ill-formed quota: two alternatives qualify within the bound
+        assert not written
+        with pytest.raises(RuleDomainError, match="ill-formed"):
+            for size in range(n_max + 1):
+                for profile in profiles_of_size(alphabet, size):
+                    below(profile)
+        return
+    assert code == 0
+    if result["leq"]:
+        assert result["witness"] is None
+        return
+    mode, parsed_alphabet, ballots = parse_ballot_file(
+        format_ballot_file(alphabet, result["witness"]))
+    assert mode == "choices" and parsed_alphabet == alphabet
+    assert len(ballots) <= n_max
+    witness = Profile(alphabet, ballots)
+    assert not below(witness)
+    for size in range(len(ballots)):
+        for profile in profiles_of_size(alphabet, size):
+            assert below(profile), profile
 
 
 def test_console_entry_point(tmp_path):
