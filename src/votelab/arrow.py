@@ -24,6 +24,18 @@ other alternatives) is read through ``WeakOrder.stance`` pair by pair, so
 verdicts and raised errors do not depend on the tables.  An answer that is not
 a ``WeakOrder`` is read through its ``stance`` too, so ``None`` raises
 AttributeError on its first stance read.
+
+A ``TabulatedSWF`` whose values are all indexed orders keeps their indices,
+one byte per code.  For such a table ``find_dictator`` decides, and
+``check_a2`` and the pair factoring of ``check_a3`` screen, with whole-column
+set operations over three more tables, built on first use: per dictator
+premise, the (voter order, social order) index pairs, of the m x m, in which
+the social order honours every premise pair of the voter's; per voter, the
+voter's order index at every code; and per voter, the codes grouped by that
+voter's order, so that a single-pair move i -> j takes group i to group j
+position by position, with per move the (social before, social after) index
+pairs that drop a moved-toward pair.  A failed screen falls back to the
+per-code loop, which gives the witness and ``profiles_checked``.
 """
 
 from __future__ import annotations
@@ -118,6 +130,8 @@ ArrowProfile = tuple[WeakOrder, ...]
 class SWF:
     """Social welfare function for a fixed voter count and alternative set."""
 
+    _indices: bytes | None = None  # a TabulatedSWF's order index at every code
+
     def __init__(self, alternatives: tuple[str, ...], n: int, descriptor: str):
         self.alternatives = alternatives
         self.n = n
@@ -149,7 +163,9 @@ class TabulatedSWF(SWF):
 
     ``values`` holds one social order per profile, in ``sorted_profiles``
     order; a profile is looked up by its code in the domain's order tables
-    (see the module docstring), which every table of the domain shares.
+    (see the module docstring), which every table of the domain shares.  The
+    table also keeps each value's index among the domain's orders, one byte
+    per code, or None if some value is not an indexed order.
     """
 
     def __init__(self, alternatives: tuple[str, ...], n: int,
@@ -160,10 +176,13 @@ class TabulatedSWF(SWF):
                              f"{len(domain.profiles)} profiles, got {len(values)}")
         self._values = tuple(values)
         self._codes = domain.codes
+        self._indices = domain.order_indices(self._values)
         if descriptor is None:
-            labels = [domain.labels.get(id(w)) or str(w) for w in self._values]
-            digest = hashlib.sha256("|".join(labels).encode()).hexdigest()[:12]
-            descriptor = f"swf:sha256:{digest}"
+            if self._indices is None:
+                text = "|".join(map(str, self._values)).encode()
+            else:
+                text = b"|".join(map(domain.labels.__getitem__, self._indices))
+            descriptor = f"swf:sha256:{hashlib.sha256(text).hexdigest()[:12]}"
         super().__init__(alternatives, n, descriptor)
 
     def evaluate(self, profile: ArrowProfile) -> WeakOrder:
@@ -268,9 +287,9 @@ class _OrderTables:
     def __init__(self, alternatives: tuple[str, ...], n: int):
         self.orders = enumerate_weak_orders(alternatives)
         self.index = {w: i for i, w in enumerate(self.orders)}
-        # index and str of each order above, keyed by identity: the tables keep them alive
+        # each order's index keyed by identity: the tables keep the orders alive
         self.at = {id(w): i for i, w in enumerate(self.orders)}
-        self.labels = {id(w): str(w) for w in self.orders}
+        self.labels = [str(w).encode() for w in self.orders]  # for descriptors
         self.pairs = tuple(_ordered_pairs(alternatives))
         self.pair_index = {q: p for p, q in enumerate(self.pairs)}
         self.stances = tuple(tuple(w.stance(a, b) for a, b in self.pairs) for w in self.orders)
@@ -305,6 +324,66 @@ class _OrderTables:
             for p in range(len(self.pairs))
         )
 
+    def find(self, order: object) -> int | None:
+        """The order's index, by identity, then by equality; None outside the index."""
+        i = self.at.get(id(order))
+        if i is None:
+            try:
+                i = self.index.get(order)
+            except TypeError:  # unhashable, so not an indexed order
+                pass
+        return i
+
+    def order_indices(self, values: Sequence[WeakOrder]) -> bytes | None:
+        """Each value's index, or None if some value is not an indexed order
+        (or the indices do not fit a byte)."""
+        if len(self.orders) > 256:
+            return None
+        try:
+            return bytes(map(self.at.__getitem__, map(id, values)))
+        except KeyError:
+            found = list(map(self.find, values))
+            return None if None in found else bytes(found)
+
+    # --- read only for tables with indices, so built on first use -----------
+
+    @functools.cached_property
+    def honours(self) -> dict[str, frozenset[tuple[int, int]]]:
+        """Per premise: the (voter order, social order) index pairs in which
+        the social order honours every premise pair of the voter's."""
+        return {premise: frozenset((i, j) for i, own in enumerate(self.premises[premise])
+                                   for j, row in enumerate(self.stances)
+                                   if all(row[p] >= floor for p in own))
+                for premise, floor in _PREMISE_FLOOR.items()}
+
+    @functools.cached_property
+    def voter_orders(self) -> tuple[bytes, ...]:
+        """Per voter: the voter's order index at every code."""
+        return tuple(map(bytes, zip(*self.digits)))
+
+    @functools.cached_property
+    def grouped(self) -> tuple[tuple[int, ...], ...]:
+        """Per voter: the codes sorted by the voter's order, then by code.  Group
+        i (m^(n-1) codes) holds the profiles in which the voter has order i, and
+        the voter moving to order j takes group i to group j position by position."""
+        codes = range(len(self.digits))
+        return tuple(tuple(sorted(codes, key=column.__getitem__)) for column in self.voter_orders)
+
+    @functools.cached_property
+    def moves(self) -> tuple[tuple[slice, slice, frozenset[tuple[int, int]]], ...]:
+        """Per single-pair move i -> j with a moved-toward pair: the slices of
+        groups i and j, and the (social before, social after) index pairs that
+        drop a moved-toward pair."""
+        size = len(self.digits) // len(self.orders)
+        return tuple(
+            (slice(i * size, (i + 1) * size), slice(j * size, (j + 1) * size),
+             frozenset((s, t) for s, before in enumerate(self.stances)
+                       for t, after in enumerate(self.stances)
+                       if any(before[p] >= 0 and after[p] < 0 for p in moved)))
+            for i, neighbours in enumerate(self.neighbours)
+            for j, moved in neighbours if moved
+        )
+
 
 @functools.lru_cache(maxsize=None)
 def _tables(alternatives: tuple[str, ...], n: int) -> _OrderTables:
@@ -326,22 +405,21 @@ class _ForeignStances:
 
 
 def _social(swf: SWF, tables: _OrderTables) -> Callable[[int], _Row]:
-    """The stance row of the SWF's order at a profile code, found the first
-    time the code is read (by code in a ``TabulatedSWF``, else by evaluating
-    the SWF) and kept for the rest of the check."""
-    profiles, at, index, known = tables.profiles, tables.at, tables.index, tables.stances
+    """The stance row of the SWF's order at a profile code: by index for a
+    table with indices, else found the first time the code is read (by code
+    in a ``TabulatedSWF``, else by evaluating the SWF) and kept for the rest
+    of the check."""
+    profiles, find, known = tables.profiles, tables.find, tables.stances
+    indices = swf._indices
+    if indices is not None:
+        return lambda code: known[indices[code]]
     rows: list[_Row | None] = [None] * len(profiles)
 
     def read(code: int) -> _Row:
         row = rows[code]
         if row is None:
             order = swf._order_at(code, profiles)
-            i = at.get(id(order))
-            if i is None:
-                try:
-                    i = index.get(order)
-                except TypeError:  # unhashable, so not an indexed order
-                    pass
+            i = find(order)
             row = known[i] if i is not None else _ForeignStances(order, tables.pairs)
             rows[code] = row
         return row
@@ -356,6 +434,8 @@ def check_a2(swf: SWF) -> ArrowCheckResult:
     """Nonnegative responsiveness: a single voter moving one pair's stance in
     favor of a socially weakly-preferred alternative cannot overturn it."""
     domain = _tables(swf.alternatives, swf.n)
+    if swf._indices is not None and _responsive(swf._indices, domain):
+        return ArrowCheckResult("A2", "pass", None, len(domain.profiles))
     read = _social(swf, domain)
     neighbours, weights = domain.neighbours, domain.weights
     for code, x in enumerate(domain.digits):
@@ -376,11 +456,28 @@ def check_a2(swf: SWF) -> ArrowCheckResult:
     return ArrowCheckResult("A2", "pass", None, len(domain.profiles))
 
 
-def _pair_factor(read: Callable[[int], _Row], tables: _OrderTables,
+def _responsive(indices: bytes, tables: _OrderTables) -> bool:
+    """No single-pair move of any voter drops a moved-toward pair, screened
+    group against group (see ``_OrderTables.grouped``)."""
+    for codes in tables.grouped:
+        column = bytes([indices[code] for code in codes])
+        for before, after, drops in tables.moves:
+            if not drops.isdisjoint(zip(column[before], column[after])):
+                return False
+    return True
+
+
+def _pair_factor(swf: SWF, read: Callable[[int], _Row], tables: _OrderTables,
                  p: int) -> tuple[PairTable, tuple[int, int] | None]:
     """The social stance on ordered pair p as a table over the voters' stances
     on the pair, or the codes of the first two profiles sharing voter stances
     but not the social one."""
+    if swf._indices is not None:  # screened on whole columns first
+        keys = tables.voter_stances[p]
+        column = [tables.stances[i][p] for i in swf._indices]
+        screened = dict(zip(keys, column))
+        if len(screened) == len(set(zip(keys, column))):
+            return screened, None
     table: PairTable = {}
     first: dict[tuple[Stance, ...], int] = {}
     for code, key in enumerate(tables.voter_stances[p]):
@@ -397,7 +494,7 @@ def check_a3(swf: SWF) -> ArrowCheckResult:
     domain = _tables(swf.alternatives, swf.n)
     read = _social(swf, domain)
     for a, b in _unordered_pairs(swf.alternatives):
-        _, conflict = _pair_factor(read, domain, domain.pair_index[(a, b)])
+        _, conflict = _pair_factor(swf, read, domain, domain.pair_index[(a, b)])
         if conflict is not None:
             w = ArrowWitness(
                 *(domain.profiles[code] for code in conflict), (a, b),
@@ -432,6 +529,12 @@ def find_dictator(swf: SWF, premise: str = "strict") -> int | None:
     if premise not in ("strict", "weak"):
         raise ValueError(f"unknown dictator premise {premise!r}")
     domain = _tables(swf.alternatives, swf.n)
+    if swf._indices is not None:
+        honoured = domain.honours[premise]
+        for v, own in enumerate(domain.voter_orders):
+            if honoured.issuperset(zip(own, swf._indices)):
+                return v
+        return None
     read = _social(swf, domain)
     floor = _PREMISE_FLOOR[premise]
     premises = domain.premises[premise]
@@ -514,7 +617,7 @@ def factor_into_pair_functions(
     read = _social(swf, domain)
     factors: dict[tuple[str, str], PairTable] = {}
     for a, b in _unordered_pairs(swf.alternatives):
-        factors[(a, b)], conflict = _pair_factor(read, domain, domain.pair_index[(a, b)])
+        factors[(a, b)], conflict = _pair_factor(swf, read, domain, domain.pair_index[(a, b)])
         if conflict is not None:
             return None
     return factors
@@ -555,17 +658,27 @@ def arrow_search(n: int = 2, alternatives: tuple[str, ...] = ("a", "b", "c")) ->
                 core.post(watch, (x, x + step), _MONOTONE)
     # each profile's three social stances are one weak order's
     triples = tuple(tuple(row[p] + 1 for p in pairs) for row in domain.stances)
-    profile_vars = [tuple(k * size + vector_code[domain.voter_stances[p][code]]
-                          for k, p in enumerate(pairs)) for code in range(len(domain.profiles))]
-    for x in profile_vars:
-        core.post(watch, x, triples)
+    # per pair: each profile's stance vector code
+    keys = [bytes(map(vector_code.__getitem__, domain.voter_stances[p])) for p in pairs]
+    for s_ab, s_bc, s_ac in zip(*keys):
+        core.post(watch, (s_ab, size + s_bc, 2 * size + s_ac), triples)
     masks = ([1] + [7] * (size - 2) + [4]) * 3  # non-imposition: f(-1...) = -1, f(+1...) = +1
-    order_at = {1 << ab | 1 << bc + 3 | 1 << ac + 6: i for i, (ab, bc, ac) in enumerate(triples)}
+    # 9*(ab+1) + 3*(bc+1) + (ac+1) -> order index; 255, no order's, elsewhere
+    order_at = bytearray(b"\xff" * 256)
+    for i, (ab, bc, ac) in enumerate(triples):
+        order_at[9 * ab + 3 * bc + ac] = i
     found = set()  # each solution's social order index on every profile
     for m in core.solutions(masks, watch):
-        w = [mask << 3 * (x // size) for x, mask in enumerate(m)]  # pair k: bits 3k..3k+2
-        found.add(bytes([order_at[w[u] | w[v] | w[t]] for u, v, t in profile_vars]))
-    # bytes of order indices sort as the tuples of them do
-    orders = domain.orders
+        # per pair, each profile's social stance + 1, times 9, 3 or 1, by
+        # translating its stance vector code; the three are added as
+        # big-endian integers, byte by byte since no byte's sum exceeds 26
+        code = 0
+        for k, (key, weight) in enumerate(zip(keys, (9, 3, 1))):
+            social = bytes(weight * (mask.bit_length() - 1) for mask in m[k * size:(k + 1) * size])
+            code += int.from_bytes(key.translate(social.ljust(256, b"\0")), "big")
+        found.add(code.to_bytes(len(domain.profiles), "big").translate(order_at))
+    # bytes of order indices sort as the tuples of them do; a list's
+    # __getitem__ maps faster than a tuple's, and raises on a 255
+    orders = list(domain.orders)
     return tuple(TabulatedSWF(alternatives, n, tuple(map(orders.__getitem__, key)))
                  for key in sorted(found))

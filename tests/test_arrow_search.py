@@ -218,8 +218,7 @@ def test_three_voter_pins(survivors3):
 def test_every_three_voter_survivor_has_a_strict_dictator(survivors3, functions3):
     dictators = [strict_dictators(g, 3) for g in functions3]
     assert all(dictators)
-    for i in range(0, len(survivors3), 354):  # a fixed sample of 11
-        assert find_dictator(survivors3[i]) == dictators[i][0]
+    assert [find_dictator(swf) for swf in survivors3] == [d[0] for d in dictators]
 
 
 def test_merging_two_voters_gives_a_two_voter_survivor(functions3):

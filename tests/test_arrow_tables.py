@@ -5,9 +5,12 @@ once per check; here they are held to the per-profile loops they replaced.
 profile is taken from ``sorted_profiles``, every neighbour profile is built as
 a tuple, and every stance is asked of the orders themselves.  Each checker must
 return the same result or raise the same error, and must evaluate the same
-profiles, in the same order, as its loop.
+profiles, in the same order, as its loop.  A ``TabulatedSWF`` holding indexed
+orders only is decided on its order indices instead; it is called directly,
+never through ``counted``, and must still give the loop's result.
 """
 
+import functools
 import itertools
 
 import pytest
@@ -367,3 +370,95 @@ def test_an_answer_that_is_not_an_order_raises_on_its_stance():
         assert got == (AttributeError, "'NoneType' object has no attribute 'stance'"), name
         assert expected[0] is AttributeError, name
         assert table_calls == list(dict.fromkeys(naive_calls)), name
+
+
+# --- drawn tables, read by order index -------------------------------------------
+
+
+def tabulate(fn, alternatives, n):
+    return tuple(map(fn, sorted_profiles(alternatives, n)))
+
+
+@functools.lru_cache(maxsize=None)
+def table_starts(alternatives, n):
+    """Value tuples to start from: the survivors (at three alternatives), and
+    the tabulated base SWFs, among them ones failing A2, A3 and A4, and ones
+    without a dictator."""
+    starts = [tabulate(fn, alternatives, n) for _, fn in sorted(bases(alternatives, n).items())]
+    if len(alternatives) == 3:
+        starts += [swf.value_tuple() for swf in arrow_search(n, alternatives)]
+    return starts
+
+
+@st.composite
+def drawn_tables(draw):
+    """A table with a few values replaced by another indexed order, or, in
+    some tables, by a reversed-block or a foreign order."""
+    alternatives = draw(st.sampled_from([("a", "b"), ALTS]))
+    n = draw(st.sampled_from([1, 2]))
+    orders = enumerate_weak_orders(alternatives)
+    values = list(draw(st.sampled_from(table_starts(alternatives, n))))
+    answers = st.sampled_from(orders)
+    if draw(st.booleans()):
+        foreign = [WeakOrder((alternatives[:-1],)),
+                   WeakOrder(((alternatives[0], "z"), alternatives[1:]))]
+        answers = st.one_of(answers, answers.map(reversed_blocks), st.sampled_from(foreign))
+    replaced = draw(st.dictionaries(st.integers(0, len(values) - 1), answers, max_size=4))
+    for code, answer in replaced.items():
+        values[code] = answer
+    return TabulatedSWF(alternatives, n, values, "drawn-table")
+
+
+def assert_witness_reevaluates(swf, result):
+    """A failing A2 or A3 result holds on re-evaluating its two profiles."""
+    w = result.witness
+    before, after = swf.evaluate(w.profile), swf.evaluate(w.other)
+    if result.condition == "A2":
+        hi, lo = w.pair
+        moved = [v for v in range(swf.n) if w.profile[v] != w.other[v]]
+        assert len(moved) == 1
+        v = moved[0]
+        assert w.profile[v].stance(hi, lo) <= 0 <= w.other[v].stance(hi, lo)
+        assert w.profile[v].stance(hi, lo) != w.other[v].stance(hi, lo)
+        assert before.stance(hi, lo) >= 0 > after.stance(hi, lo)
+        assert w.detail == (f"voter {v} moved toward {hi} over {lo} but the social "
+                            f"stance dropped it")
+    else:
+        a, b = w.pair
+        assert [x.stance(a, b) for x in w.profile] == [x.stance(a, b) for x in w.other]
+        assert before.stance(a, b) != after.stance(a, b)
+        assert w.detail == f"same voter stances on ({a}, {b}) but social stance differs"
+
+
+def assert_tables_match_the_loops(swf):
+    for name, (naive, args) in CHECKS.items():
+        got = outcome(checker(name), swf, *args)
+        assert got == outcome(naive, swf, *args), (name, swf)
+        if name in ("check_a2", "check_a3") and isinstance(got, ArrowCheckResult) \
+                and not got.passed:
+            assert_witness_reevaluates(swf, got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn_tables())
+def test_drawn_tables_match_the_loops(swf):
+    orders = enumerate_weak_orders(swf.alternatives)
+    indexed = all(w in orders for w in swf.value_tuple())
+    assert (swf._indices is not None) == indexed
+    if indexed:
+        assert swf._indices == bytes(map(orders.index, swf.value_tuple()))
+    assert_tables_match_the_loops(swf)
+
+
+def test_tabulated_counterexamples_fail_on_their_indices():
+    # the index path reaches every failing verdict and a table without a dictator
+    failed = set()
+    for swf in COUNTEREXAMPLES:
+        table = TabulatedSWF(ALTS, 2, tabulate(swf.evaluate, ALTS, 2), swf.descriptor)
+        assert table._indices is not None
+        assert_tables_match_the_loops(table)
+        failed |= {check.__name__ for check in (arrow.check_a2, arrow.check_a3, arrow.check_a4)
+                   if not check(table).passed}
+        if arrow.find_dictator(table) is None:
+            failed.add("no dictator")
+    assert failed == {"check_a2", "check_a3", "check_a4", "no dictator"}

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import votelab
 
 
@@ -11,3 +16,15 @@ def test_star_import_binds_every_export():
     namespace = {}
     exec("from votelab import *", namespace)
     assert set(votelab.__all__) <= set(namespace)
+
+
+def test_import_builds_no_order_tables():
+    # the Arrow order tables are built on first use, never at import
+    src = str(Path(votelab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    code = ("import votelab, votelab.cli; votelab.cli.build_parser(); "
+            "print(votelab.arrow._tables.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "0"
