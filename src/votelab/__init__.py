@@ -41,7 +41,6 @@ from .rules import (
     pure_majority_table,
 )
 from .axioms import AuditReport, CheckResult, ReplayResult, Witness, audit, replay_main_proof
-from .arrow import WeakOrder, arrow_search, enumerate_weak_orders, find_dictator
 from .enumeration import (
     FamilySet,
     MayFunctionTable,
@@ -50,6 +49,20 @@ from .enumeration import (
     maximal_elements,
     rule_leq,
 )
+
+# The ``arrow`` module and its names are loaded on first use, so the voting
+# rules and audits never pay for the order-aggregation setting.
+_ARROW_NAMES = ("WeakOrder", "arrow_search", "enumerate_weak_orders", "find_dictator")
+
+
+def __getattr__(name: str):
+    if name == "arrow" or name in _ARROW_NAMES:
+        import importlib
+
+        arrow = importlib.import_module(".arrow", __name__)
+        return arrow if name == "arrow" else getattr(arrow, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

@@ -19,6 +19,17 @@ arithmetic: a voter joining with ballot d leads to ``code*k + d``, a
 relabeling maps every digit, and a changed ballot at voter v adds
 ``(new-old)*k^(n-1-v)``.
 
+The relabeling checks (C2, MA3) read each orbit once.  The relabelings a
+check tests, with the identity, form a group G that acts on profiles and on
+outcomes through the same symbol map.  Let x be the least code of an orbit
+and suppose f(g x) = g f(x) for every g in G.  Then for any y = h x in the
+orbit and any g, f(g y) = f(gh x) = gh f(x) = g f(y): every code of the orbit
+passes.  So the scan skips a code that it has already read as the image of an
+earlier code.  Every read of a skipped code was made, and passed, at that
+earlier code, and a failing code is always the least of its orbit.  The
+evaluated profiles, the witness, the profile count and the first error raised
+are therefore those of the loop over every code.
+
 Neutrality (C2), anonymity (C3) and tie-ballot invariance (C4) are always
 tested on raw profiles, never through the count-signature quotient, so a bug in
 the signature representation cannot mask a violation.  The table is indexed by
@@ -163,14 +174,19 @@ class Outcomes:
         slots = self._slots.get(size)
         if slots is None:
             slots = self._slots[size] = [_PENDING] * self.k ** size
+        low = size // 2
+        tail_codes = self.k ** low
+        heads, tails = self._ballots(size - low), self._ballots(low)
+        alphabet, evaluate = self.alphabet, self.rule.evaluate
 
         def read(code: int) -> str:
             value = slots[code]
             if type(value) is str:
                 return value
             if value is _PENDING:
+                head, tail = divmod(code, tail_codes)
                 try:
-                    value = self.rule.evaluate(self.profile(size, code))
+                    value = evaluate(Profile(alphabet, heads[head] + tails[tail]))
                 except Exception as exc:  # kept in the slot; every read raises it
                     value = exc
                 else:
@@ -268,7 +284,10 @@ def _relabel_scan(
     each relabeled profile must be the relabeled outcome.
 
     A code splits into a head and a tail of half the size each; the image
-    code is read from one table of relabeled codes per half."""
+    code is read from one table of relabeled codes per half.  ``perms`` with
+    the identity form a group, so a code already read as the image of an
+    earlier code is skipped: its orbit was checked there (see the module
+    docstring)."""
     k = table.k
     read = table.reader(size)
     low = size // 2
@@ -281,11 +300,15 @@ def _relabel_scan(
             images.append([c * k + sigma[d] for c in images[-1] for d in range(k)])
         maps.append((perm, dict(zip(perm.alphabet.alternatives, perm.mapping)),
                      images[size - low], images[low]))
+    seen = bytearray(k ** size)
     for code in range(k ** size):
+        if seen[code]:
+            continue
         fx = read(code)
         head, tail = divmod(code, tail_codes)
         for perm, relabel, hi, lo in maps:
             moved = hi[head] * tail_codes + lo[tail]
+            seen[moved] = 1
             expected = relabel[fx]
             observed = read(moved)
             if observed != expected:

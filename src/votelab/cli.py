@@ -15,6 +15,7 @@ import json
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .core import (
@@ -38,13 +39,6 @@ from .rules import (
 )
 from . import axioms
 from .axioms import AuditReport, Witness, audit
-from .arrow import (
-    WeakOrder,
-    arrow_search,
-    enumerate_weak_orders,
-    find_dictator,
-    sorted_profiles,
-)
 from .enumeration import (
     enumerate_c_families,
     enumerate_may_functions,
@@ -52,6 +46,9 @@ from .enumeration import (
     plurality_artifacts,
     rule_leq,
 )
+
+if TYPE_CHECKING:  # the arrow module is loaded by the commands that use it
+    from .arrow import WeakOrder
 
 EXIT_OK = 0
 EXIT_AXIOM_FAIL = 1
@@ -126,6 +123,8 @@ def parse_ballot_file(text: str) -> tuple[str, Alphabet, tuple]:
 
 
 def _parse_rank_line(lineno: int, line: str, alphabet: Alphabet) -> WeakOrder:
+    from .arrow import WeakOrder
+
     payload = line[len("rank:"):].strip()
     if not payload:
         raise BallotParseError(lineno, "empty rank line")
@@ -499,12 +498,14 @@ def cmd_may(args: argparse.Namespace) -> int:
 
 
 def cmd_arrow_search(args: argparse.Namespace) -> int:
+    from . import arrow
+
     alternatives = ("a", "b", "c")
     n = 2
-    survivors = arrow_search(n, alternatives)
-    profiles = sorted_profiles(alternatives, n)
+    survivors = arrow.arrow_search(n, alternatives)
+    profiles = arrow.sorted_profiles(alternatives, n)
     # built once: the profiles and the survivors hold these order objects
-    lines = {id(w): format_rank_line(w) for w in enumerate_weak_orders(alternatives)}
+    lines = {id(w): format_rank_line(w) for w in arrow.enumerate_weak_orders(alternatives)}
     rows = ([lines[id(w)] for w in x] for x in profiles)
     # one cell per profile and order, shared by every survivor's table
     cells = [{i: {"profile": row, "order": line} for i, line in lines.items()} for row in rows]
@@ -515,7 +516,7 @@ def cmd_arrow_search(args: argparse.Namespace) -> int:
         "survivors": [
             {
                 "descriptor": swf.descriptor,
-                "dictator": find_dictator(swf),
+                "dictator": arrow.find_dictator(swf),
                 "dictator_premise": "strict",
                 "table": [cell[id(w)] for cell, w in zip(cells, swf.value_tuple())],
             }

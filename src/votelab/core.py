@@ -42,6 +42,8 @@ class Alphabet:
     bot: str
     non_bot: tuple[str, ...] = field(init=False, repr=False, compare=False)
     """The non-tie symbols in alphabet order, stored once at construction."""
+    symbol_set: frozenset[str] = field(init=False, repr=False, compare=False)
+    """Every symbol, for one-call membership tests of a whole ballot tuple."""
 
     def __post_init__(self) -> None:
         if len(set(self.alternatives)) != len(self.alternatives):
@@ -52,6 +54,7 @@ class Alphabet:
             raise ValueError("alphabet needs at least one non-tie alternative")
         object.__setattr__(self, "non_bot",
                            tuple(s for s in self.alternatives if s != self.bot))
+        object.__setattr__(self, "symbol_set", frozenset(self.alternatives))
 
     def __contains__(self, symbol: str) -> bool:
         return symbol in self.alternatives
@@ -83,6 +86,11 @@ class Profile:
     ballots: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        try:
+            if self.alphabet.symbol_set.issuperset(self.ballots):
+                return
+        except TypeError:  # an unhashable ballot: the loop below names it
+            pass
         alternatives = self.alphabet.alternatives
         for b in self.ballots:
             if b not in alternatives:
@@ -205,20 +213,18 @@ def strict_plurality(t: Tally) -> str | None:
     Returns None when the top non-tie count is shared or zero.  Tie ballots are
     never compared: they can neither win nor block a strict winner.
     """
-    best: str | None = None
-    best_count = 0
-    tied = False
     bot = t.alphabet.bot
-    for s, n in zip(t.alphabet.alternatives, t.counts):
-        if s == bot:
-            continue
-        if n > best_count:
-            best, best_count, tied = s, n, False
-        elif n == best_count:
-            tied = True
-    if best is None or best_count == 0 or tied:
+    return plurality_winner(t.alphabet.non_bot,
+                            [n for s, n in zip(t.alphabet.alternatives, t.counts) if s != bot])
+
+
+def plurality_winner(symbols: Sequence[str], counts: Sequence[int]) -> str | None:
+    """The symbol whose count (``counts`` aligned with ``symbols``) strictly
+    beats every other, or None when the top count is shared or not positive."""
+    top = max(counts)
+    if top <= 0 or counts.count(top) > 1:
         return None
-    return best
+    return symbols[counts.index(top)]
 
 
 def profiles_of_size(alphabet: Alphabet, size: int) -> Iterator[Profile]:

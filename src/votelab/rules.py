@@ -17,15 +17,12 @@ from typing import Callable, Mapping
 
 from .core import (
     Alphabet,
-    CountSignature,
     HorizonError,
     Profile,
     RuleDomainError,
-    Tally,
+    plurality_winner,
     signatures_up_to,
-    strict_plurality,
     table_values,
-    tally,
 )
 
 
@@ -49,10 +46,11 @@ class RuleFamily:
         return f"<{type(self).__name__} {self.descriptor}>"
 
 
-def _winner(t: Tally) -> str:
-    """The strict plurality winner among non-tie alternatives, or the tie symbol."""
-    winner = strict_plurality(t)
-    return winner if winner is not None else t.alphabet.bot
+def _winner(alphabet: Alphabet, counts: tuple[int, ...]) -> str:
+    """The strict plurality winner among non-tie alternatives, or the tie
+    symbol; ``counts`` are aligned with ``alphabet.non_bot``."""
+    winner = plurality_winner(alphabet.non_bot, counts)
+    return winner if winner is not None else alphabet.bot
 
 
 @dataclass(frozen=True)
@@ -89,17 +87,9 @@ class TabulatedFamily:
         return hashlib.sha256(payload).hexdigest()[:12]
 
 
-def signature_tally(sig: CountSignature) -> Tally:
-    """Tally with the signature's non-tie counts and zero tie ballots."""
-    by_symbol = dict(zip(sig.alphabet.non_bot, sig.counts))
-    return Tally(
-        sig.alphabet, tuple(by_symbol.get(s, 0) for s in sig.alphabet.alternatives)
-    )
-
-
 def pure_majority_table(alphabet: Alphabet, horizon: int) -> TabulatedFamily:
     """Pure majority restricted to signatures within the horizon."""
-    table = {sig.counts: _winner(signature_tally(sig))
+    table = {sig.counts: _winner(alphabet, sig.counts)
              for sig in signatures_up_to(alphabet, horizon)}
     return TabulatedFamily(alphabet, horizon, table)
 
@@ -112,7 +102,7 @@ class PureMajorityRule(RuleFamily):
 
     def evaluate(self, profile: Profile) -> str:
         self._check_profile(profile)
-        return _winner(tally(profile))
+        return _winner(self.alphabet, tuple(map(profile.ballots.count, self.alphabet.non_bot)))
 
 
 class MaySignRule(RuleFamily):
@@ -125,7 +115,7 @@ class MaySignRule(RuleFamily):
         a = profile.alphabet
         if a is not self.alphabet and (set(a.alternatives) != {"-1", "0", "1"} or a.bot != "0"):
             raise RuleDomainError("may-sign requires the {-1, 0, 1} alphabet with tie 0")
-        total = sum(int(b) for b in profile.ballots)
+        total = profile.ballots.count("1") - profile.ballots.count("-1")
         return str((total > 0) - (total < 0))
 
 
@@ -149,11 +139,13 @@ class QuorumRule(RuleFamily):
 
     def evaluate(self, profile: Profile) -> str:
         self._check_profile(profile)
-        t = tally(profile)
-        turnout = len(profile)
+        ballots = profile.ballots
+        turnout = len(ballots)
         if self.mode == "participation":
-            turnout -= t.count(self.alphabet.bot)
-        return _winner(t) if turnout >= self.threshold else self.alphabet.bot
+            turnout -= ballots.count(self.alphabet.bot)
+        if turnout < self.threshold:
+            return self.alphabet.bot
+        return _winner(self.alphabet, tuple(map(ballots.count, self.alphabet.non_bot)))
 
 
 class SupermajorityRule(RuleFamily):
@@ -178,21 +170,24 @@ class SupermajorityRule(RuleFamily):
 
     def evaluate(self, profile: Profile) -> str:
         self._check_profile(profile)
-        t = tally(profile)
-        base = len(profile)
-        bot = self.alphabet.bot
+        ballots = profile.ballots
+        base = len(ballots)
         if self.denom == "nonbot":
-            base -= t.count(bot)
+            base -= ballots.count(self.alphabet.bot)
         # count > quota * base, in integers
         bar, den = self.quota.numerator * base, self.quota.denominator
-        qualified = [s for s, count in zip(self.alphabet.alternatives, t.counts)
-                     if s != bot and count * den > bar]
-        if len(qualified) > 1:
+        counts = tuple(map(ballots.count, self.alphabet.non_bot))
+        top = max(counts)
+        if top * den <= bar:
+            return self.alphabet.bot
+        # the top count qualifies; only the plurality winner may qualify alone
+        winner = plurality_winner(self.alphabet.non_bot, counts)
+        if winner is None or any(count * den > bar for count in counts if count != top):
             raise RuleDomainError(
                 f"quota {self.quota} with denominator {self.denom!r} admits two "
                 "qualifiers: ill-formed"
             )
-        return qualified[0] if qualified else self.alphabet.bot
+        return winner
 
 
 class TabulatedRule(RuleFamily):

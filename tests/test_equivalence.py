@@ -4,8 +4,9 @@ to the code they replaced.
 ``old_*`` below are copies of that code, kept as an independent oracle: the
 free ``tabulated_evaluate`` behind ``TabulatedRule``, the per-profile loop of
 ``rule_leq``, the stance triples ``arrow_search`` derived through a
-transitivity test, the ``Counter`` tally, the ``Fraction`` supermajority
-threshold and the per-digit relabel fold.  The new code must give the same
+transitivity test, the ``Counter`` tally, the rules that evaluated through a
+``Tally``, the ``Fraction`` supermajority threshold, the ballot loop of
+``Profile`` and the per-digit relabel fold.  The new code must give the same
 value or raise the same error, and ``rule_leq`` and ``check_c2`` must evaluate
 the same profiles in the same order.
 """
@@ -15,6 +16,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from votelab.arrow import (
     TabulatedSWF,
@@ -28,6 +31,7 @@ from votelab.core import (
     Alphabet,
     AltPermutation,
     HorizonError,
+    Profile,
     RuleDomainError,
     Tally,
     VoteLabError,
@@ -39,6 +43,7 @@ from votelab.core import (
 from votelab.enumeration import enumerate_c_families, rule_leq
 from votelab.rules import (
     FunctionRule,
+    MaySignRule,
     PureMajorityRule,
     QuorumRule,
     SupermajorityRule,
@@ -259,6 +264,76 @@ def test_tally_and_plurality_match_the_old_code(alphabet, n_max):
     assert compared == sum(len(alphabet.alternatives) ** s for s in range(n_max + 1))
 
 
+@given(st.lists(st.integers(-3, 3), min_size=2, max_size=5))
+def test_strict_plurality_matches_the_old_loop_on_any_counts(counts):
+    # zero and negative counts included: neither can win
+    alphabet = Alphabet.make(len(counts) - 1)
+    t = Tally(alphabet, tuple(counts))
+    assert strict_plurality(t) == old_strict_plurality(t)
+
+
+def old_pure_majority(alphabet, profile):
+    winner = old_strict_plurality(old_tally(profile))
+    return winner if winner is not None else alphabet.bot
+
+
+def old_quorum(alphabet, threshold, mode, profile):
+    t = old_tally(profile)
+    turnout = len(profile)
+    if mode == "participation":
+        turnout -= t.count(alphabet.bot)
+    return old_pure_majority(alphabet, profile) if turnout >= threshold else alphabet.bot
+
+
+def old_may_sign(profile):
+    total = sum(int(b) for b in profile.ballots)
+    return str((total > 0) - (total < 0))
+
+
+@pytest.mark.parametrize("alphabet, n_max", KERNEL_BOUNDS, ids=lambda v: str(v))
+def test_count_rules_match_the_tally_code(alphabet, n_max):
+    rules = [(PureMajorityRule(alphabet), lambda p: old_pure_majority(alphabet, p))]
+    rules += [(QuorumRule(alphabet, threshold, mode),
+               lambda p, t=threshold, m=mode: old_quorum(alphabet, t, m, p))
+              for mode in ("literal", "participation") for threshold in (1, 2, 3, 4)]
+    compared = 0
+    for p in profiles_up_to(alphabet, n_max):
+        for rule, old in rules:
+            assert outcome(rule.evaluate, p) == outcome(old, p), rule.descriptor
+            compared += 1
+    assert compared == len(rules) * sum(len(alphabet.alternatives) ** s
+                                        for s in range(n_max + 1))
+
+
+@pytest.mark.parametrize("alphabet", [Alphabet.may(), Alphabet(("1", "0", "-1"), "0")],
+                         ids=["may", "reordered"])
+def test_may_sign_matches_the_ballot_sum(alphabet):
+    rule = MaySignRule()
+    signs = set()
+    for p in profiles_up_to(alphabet, 6):
+        assert rule.evaluate(p) == old_may_sign(p)
+        signs.add(rule.evaluate(p))
+    assert signs == {"-1", "0", "1"}
+
+
+def old_profile_check(alphabet, ballots):
+    for b in ballots:
+        if b not in alphabet.alternatives:
+            raise ValueError(f"ballot symbol {b!r} not in alphabet")
+
+
+@pytest.mark.parametrize("ballots, named", [
+    (("a", "z", "y"), "'z'"),  # the first foreign symbol is named
+    (("a", 1), "1"),  # hashable, not a str
+    (("b", ["a"]), r"\['a'\]"),  # unhashable: the one-call membership test raises TypeError
+    (("a", {"b"}, "z"), r"\{'b'\}"),
+])
+def test_profile_refuses_what_the_ballot_loop_refused(ballots, named):
+    with pytest.raises(ValueError, match=f"^ballot symbol {named} not in alphabet$"):
+        Profile(AB2, ballots)
+    assert outcome(Profile, AB2, ballots) == outcome(old_profile_check, AB2, ballots)
+
+
 def old_supermajority(alphabet, quota, denom, profile):
     t = old_tally(profile)
     base = len(profile)
@@ -321,7 +396,9 @@ def old_check_c2(rule, n_max):
 
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_relabel_image_codes_match_the_digit_fold(monkeypatch, k):
-    # every read is logged, repeats included, so each image code is compared
+    # every read is logged, repeats included, so each image code is compared;
+    # the orbit skip drops the block of a code the scan already read as an
+    # image, and nothing else
     log = []
     original = Outcomes.reader
 
@@ -340,7 +417,15 @@ def test_relabel_image_codes_match_the_digit_fold(monkeypatch, k):
     new_reads = log[:]
     log.clear()
     old_check_c2(rule, 5)
-    assert new_reads == log
+    block = 1 + len(relabellings(rule.alphabet))  # a code, then its images
+    kept, imaged = [], set()
+    for i in range(0, len(log), block):
+        if log[i] not in imaged:
+            kept += log[i:i + block]
+            imaged.update(log[i + 1:i + block])
+    assert len(kept) < len(log)
+    assert new_reads == kept
+    assert set(new_reads) == {(size, code) for size in range(6) for code in range(k ** size)}
 
 
 AB3 = Alphabet.make(3)

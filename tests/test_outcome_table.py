@@ -47,6 +47,7 @@ from votelab.axioms import ALL_AXIOMS, CheckResult, Witness
 
 AB2 = Alphabet.make(2)
 AB3 = Alphabet.make(3)
+AB4 = Alphabet.make(4)  # 23 relabelings, and profiles with non-trivial stabilisers
 MAY = Alphabet.may()
 
 
@@ -85,11 +86,15 @@ def naive_relabel(rule, size, perms, axiom):
     return None, checked
 
 
+def relabelings(alphabet):
+    return [AltPermutation.from_non_bot_images(alphabet, images)
+            for images in itertools.permutations(alphabet.non_bot)
+            if images != alphabet.non_bot]
+
+
 def naive_c2(rule, n_max):
     naive_checkable(rule.alphabet)
-    non_bot = rule.alphabet.non_bot
-    perms = [AltPermutation.from_non_bot_images(rule.alphabet, images)
-             for images in itertools.permutations(non_bot) if images != non_bot]
+    perms = relabelings(rule.alphabet)
     checked = 0
     for size in range(n_max + 1):
         witness, count = naive_relabel(rule, size, perms, "C2")
@@ -343,8 +348,8 @@ HORIZON = "!horizon"
 def drawn_rules(draw):
     """A deterministic rule: a base rule with some profiles (or ballot multisets)
     answered differently or refused with a domain or a horizon error."""
-    alphabet = draw(st.sampled_from([AB2, AB3, MAY]))
-    n_max = draw(st.integers(0, 3 if alphabet is AB3 else 4))
+    alphabet = draw(st.sampled_from([AB2, AB3, AB4, MAY]))
+    n_max = draw(st.integers(0, {AB3: 3, AB4: 2}.get(alphabet, 4)))
     base = draw(st.sampled_from(sorted(BASES)))
     by_multiset = draw(st.booleans())
     ballots = st.lists(st.sampled_from(alphabet.alternatives), max_size=n_max + 1)
@@ -465,6 +470,53 @@ def test_errors_are_kept_and_raised_on_every_read():
     assert {r.error for r in report.results} == {"no pairs"}
     assert {r.error_type for r in report.results} == {RuleDomainError}
     assert max(calls.values()) == 1
+
+
+def least_of_orbit(alphabet, ballots, perms):
+    key = [alphabet.index(b) for b in ballots]
+    return all(key <= [alphabet.index(perm.apply(b)) for b in ballots] for perm in perms)
+
+
+# (alphabet, profile, its answer): each profile lies past the least code of its
+# orbit, so the scan reaches it only as the image of an earlier code
+ORBIT_CASES = [
+    (AB3, ("b", "a"), "b"),
+    (AB3, ("c", "b"), REFUSE),
+    (AB3, ("b", "_", "b"), "_"),
+    (AB4, ("d", "d", "b"), "_"),  # stabilised by swapping a and c
+    (AB4, ("c", "_", "a"), HORIZON),
+    (AB4, ("b", "b"), "a"),
+    (MAY, ("1", "-1"), "1"),
+    (MAY, ("1", "0", "1"), REFUSE),
+]
+
+
+@pytest.mark.parametrize("alphabet, ballots, answer", ORBIT_CASES,
+                         ids=lambda v: str(v) if isinstance(v, tuple) else None)
+def test_a_fault_past_the_least_code_of_its_orbit_is_found(alphabet, ballots, answer):
+    def fn(p):
+        if p.ballots != ballots:
+            return pure_majority(p)
+        if answer == REFUSE:
+            raise RuleDomainError(f"refused at {list(p.ballots)}")
+        if answer == HORIZON:
+            raise HorizonError("no value here")
+        return answer
+
+    rule = FunctionRule(alphabet, fn, "one-fault")
+    n = len(ballots)
+    calls = [(axioms.check_c2, naive_c2, relabelings(alphabet))]
+    if alphabet is MAY:
+        calls.append((axioms.check_ma3, naive_ma3, [AltPermutation.swap(MAY, "-1", "1")]))
+    for check, naive, perms in calls:
+        assert not least_of_orbit(alphabet, ballots, perms)
+        table_rule, table_calls = counted(rule)
+        naive_rule, naive_calls = counted(rule)
+        got = outcome(check, table_rule, n)
+        assert got == outcome(naive, naive_rule, n)
+        assert not isinstance(got, CheckResult) or got.status == "fail"
+        # the same profiles, first evaluated in the same order
+        assert list(table_calls) == list(naive_calls)
 
 
 def test_relabelling_needs_memory_of_the_table_not_of_every_image():
