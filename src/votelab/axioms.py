@@ -36,7 +36,8 @@ the signature representation cannot mask a violation.  The table is indexed by
 raw profiles, and the ballot-multiset classes of C3 are keyed by per-code
 counts over every alternative, tie included, never by ``core.signature``.
 Every checker and :func:`audit` refuse, with BoundError and before any
-evaluation, a negative bound and one over ``core.PROFILE_BUDGET``.
+evaluation, a negative bound and one over ``core.PROFILE_BUDGET``; C4, C5 and
+TIE_CLOSURE, which extend the profiles below the bound, also refuse 0.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from typing import Callable
 from .core import (
     Alphabet,
     AltPermutation,
+    BoundError,
     Profile,
     RuleDomainError,
     Tally,
@@ -372,6 +374,11 @@ def _multiset_scan(table: Outcomes, size: int, axiom: str) -> tuple[Witness | No
     return None, len(outcomes)
 
 
+def _require_extensible(axiom: str, n_max: int) -> None:
+    if n_max < 1:  # no profile lies below the bound: the scan would pass vacuously
+        raise BoundError(f"{axiom} extends the profiles below max voters {n_max}: none")
+
+
 def _extension_scan(
     rule: RuleFamily,
     n_max: int,
@@ -384,6 +391,7 @@ def _extension_scan(
     ``joining(outcome)`` (None: no move); ``broken(before, after)`` fails it."""
     _require_checkable(rule.alphabet)
     table = _table(rule, n_max, range(n_max + 1), outcomes)
+    _require_extensible(axiom, n_max)
     checked = 0
     for size in range(n_max):
         read, read_joined = table.reader(size), table.reader(size + 1)
@@ -690,11 +698,13 @@ def audit(
     profile is evaluated at most once.  Checker errors are recorded per axiom
     and do not abort the remaining ones.  A negative bound, or one whose
     profiles exceed the budget, raises BoundError before any evaluation, so it
-    never yields a vacuous pass."""
+    never yields a vacuous pass; so does 0 with C4, C5 or TIE_CLOSURE."""
     profile_budget(rule.alphabet, n_max, range(n_max + (2 if C6 in axioms else 1)))
     for a in axioms:
         if a not in ALL_AXIOMS:
             raise VoteLabError(f"unknown axiom {a!r}")
+        if a in (C4, C5, TIE_CLOSURE):
+            _require_extensible(a, n_max)
     outcomes = Outcomes(rule)
     results = []
     for axiom in ALL_AXIOMS:

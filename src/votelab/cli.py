@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
+from collections import defaultdict
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
@@ -304,10 +306,11 @@ def render_document(doc: dict) -> str:
 
     Builders share repeated records as one object, so a container met again at
     the same indent is encoded once: its text is copied from its first visit.
-    The memo is keyed by ``id`` and lives for this call only, while ``doc``
-    keeps every container in it alive."""
+    A list of such texts is written in one call.  The memos, one per indent, are
+    keyed by ``id`` and live for this call only, while ``doc`` keeps each key's
+    container alive."""
     out: list[str] = []
-    _write_json(doc, "\n", out, {})
+    _write_json(doc, 0, out, defaultdict(dict))
     out.append("\n")
     return "".join(out)
 
@@ -315,35 +318,48 @@ def render_document(doc: dict) -> str:
 # a document repeats its keys, labels and small numbers: encode each once
 _encode_str = functools.lru_cache(maxsize=4096)(encode_basestring_ascii)
 _encode_int = functools.lru_cache(maxsize=4096)(int.__repr__)
+_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
-def _write_json(value: object, newline: str, out: list[str],
-                seen: dict[tuple[int, str], tuple[int, int] | str]) -> None:
-    if isinstance(value, str):
-        out.append(_encode_str(value))
-    elif type(value) is int:
-        out.append(_encode_int(value))
-    elif isinstance(value, (dict, list, tuple)) and value:
-        key = (id(value), newline)  # the newline carries the indent
-        done = seen.get(key)
-        if done is not None:  # where its text lies in ``out``, then the text itself
-            if type(done) is tuple:
-                done = seen[key] = "".join(out[done[0]:done[1]])
-            out.append(done)
-            return
-        start, inner, keyed = len(out), newline + "  ", isinstance(value, dict)
-        sep, comma = ("{" if keyed else "[") + inner, "," + inner
+@functools.lru_cache(maxsize=None)
+def _layout(depth: int, keyed: bool) -> tuple[str, str, str]:  # opener, comma, closer
+    inner = "\n" + "  " * (depth + 1)
+    return ("{" if keyed else "[") + inner, "," + inner, inner[:-2] + ("}" if keyed else "]")
+
+
+def _write_json(value: object, depth: int, out: list[str],
+                memos: defaultdict[int, dict[int, tuple[int, int] | str]]) -> None:
+    """Append ``value`` at ``depth``; a memo holds a container's span, then text."""
+    if not (isinstance(value, (dict, list, tuple)) and value):
+        # None and bools from a map; floats and empty containers as the stdlib writes them
+        out.append(_CONSTANTS[value] if value is None or type(value) is bool else json.dumps(value))
+        return
+    start, seen, keyed = len(out), memos[depth + 1], isinstance(value, dict)
+    sep, comma, close = _layout(depth, keyed)
+    texts = [None] if keyed or id(value[0]) not in seen else list(map(seen.get, map(id, value)))
+    if None not in texts and tuple not in map(type, texts):  # every item's text is at hand
+        out.append(sep)
+        out += itertools.chain.from_iterable(zip(texts, itertools.repeat(comma)))
+        out.pop()  # the last comma
+    else:
         for item in value.items() if keyed else value:
             out.append(sep)
+            sep = comma
             if keyed:
                 out += _encode_str(item[0]), ": "
                 item = item[1]
-            _write_json(item, inner, out, seen)
-            sep = comma
-        out.append(newline + ("}" if keyed else "]"))
-        seen[key] = start, len(out)
-    else:  # None, bools, floats and empty containers, as the stdlib writes them
-        out.append(json.dumps(value))
+            if type(item) is str:
+                out.append(_encode_str(item))
+            elif type(item) is int:
+                out.append(_encode_int(item))
+            elif (done := seen.get(id(item))) is None:
+                _write_json(item, depth + 1, out, memos)
+            else:
+                if type(done) is tuple:
+                    done = seen[id(item)] = "".join(out[done[0]:done[1]])
+                out.append(done)
+    out.append(close)
+    memos[depth][id(value)] = start, len(out)
 
 
 def _emit(doc: dict, out_path: str | None) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Container, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Container, Iterable, Iterator, KeysView, Mapping, Sequence
 
 
 class VoteLabError(Exception):
@@ -286,13 +286,24 @@ def signatures_up_to(alphabet: Alphabet, horizon: int) -> tuple[CountSignature, 
                  for total in range(horizon + 1) for counts in compositions(total, k))
 
 
-def table_values(table: Mapping, keys: Sequence[Hashable], allowed: Container) -> tuple:
-    """The table's values in the canonical key order ``keys``; ValueError unless
-    the table holds exactly those keys and every value is in ``allowed``."""
-    if len(table) != len(keys) or not all(key in table for key in keys):
+@functools.lru_cache(maxsize=None)
+def canonical_keys(alphabet: Alphabet, horizon: int) -> KeysView:
+    """The counts of :func:`signatures_up_to` in order, as the keys of a dict:
+    an ordered set that :func:`table_values` matches a table against at once."""
+    return dict.fromkeys(sig.counts for sig in signatures_up_to(alphabet, horizon)).keys()
+
+
+def table_values(table: Mapping, keys: KeysView, allowed: Container) -> tuple:
+    """The table's values in the key order of ``keys``; ValueError unless the
+    table holds exactly those keys and every value is in ``allowed``."""
+    if len(table) != len(keys) or not table.keys() >= keys:
         raise ValueError("table must cover exactly the canonical keys of its domain")
-    values = tuple(table[key] for key in keys)
-    for value in values:
+    values = tuple(map(table.__getitem__, keys))
+    try:
+        valid = all(value in allowed for value in set(values))
+    except TypeError:  # an unhashable value: the loop below names the first bad one
+        valid = False
+    for value in () if valid else values:
         if value not in allowed:
             raise ValueError(f"table value {value!r} not in {allowed}")
     return values

@@ -10,7 +10,6 @@ which are implemented independently.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .core import (
@@ -19,6 +18,7 @@ from .core import (
     Profile,
     RuleDomainError,
     VoteLabError,
+    canonical_keys,
     compositions,
     profile_budget,
     signatures_up_to,
@@ -50,7 +50,7 @@ class MayFunctionTable:
     _values: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        keys = tuple(compositions(self.n, 3))
+        keys = dict.fromkeys(compositions(self.n, 3)).keys()
         object.__setattr__(self, "_values", table_values(self.table, keys, MAY_VALUES))
 
     def value_tuple(self) -> tuple[int, ...]:
@@ -189,14 +189,6 @@ class FamilySet:
             raise ValueError("families must be sorted and pairwise distinct")
 
 
-def _permute_counts(counts: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
-    # perm sends coordinate i to coordinate perm[i]
-    out = [0] * len(counts)
-    for i, c in enumerate(counts):
-        out[perm[i]] = c
-    return tuple(out)
-
-
 def enumerate_c_families(alphabet: Alphabet, horizon: int, with_c6: bool = False) -> FamilySet:
     """All tabulated families within the horizon satisfying the consistency
     axioms structurally.
@@ -224,76 +216,55 @@ def enumerate_c_families(alphabet: Alphabet, horizon: int, with_c6: bool = False
     if not 0 <= horizon <= MAX_HORIZON:
         raise BoundError(f"horizon {horizon} outside bound 0..{MAX_HORIZON}")
 
-    sigs = [s.counts for s in signatures_up_to(alphabet, horizon)]
+    sigs = list(canonical_keys(alphabet, horizon))
     position = {s: i for i, s in enumerate(sigs)}
-    perms = list(itertools.permutations(range(k)))
     non_bot = alphabet.non_bot
     bot = alphabet.bot
 
-    def permute_value(value: str, perm: tuple[int, ...]) -> str:
-        if value == bot:
-            return bot
-        return non_bot[perm[non_bot.index(value)]]
-
-    orbit_rep: dict[tuple[int, ...], tuple[int, ...]] = {}
-    stabilizer_allowed: dict[tuple[int, ...], list[str]] = {}
-    rep_map_perm: dict[tuple[int, ...], tuple[int, ...]] = {}
+    # plan[i]: the (symbol, predecessor position) pairs that can force position
+    # i; an orbit representative's allowed values (the swaps fixing it fix them),
+    # or else its representative's position and value relabelling; C6 checks due
+    plan = []
     for s in sigs:
-        rep = orbit_rep[s] = min(_permute_counts(s, p) for p in perms)
+        forcers = [(sym, position[s[:j] + (s[j] - 1,) + s[j + 1:]])
+                   for j, sym in enumerate(non_bot) if s[j]]
+        rep = tuple(sorted(s))  # the least of its orbit
         if rep == s:
-            stab = [p for p in perms if _permute_counts(s, p) == s]
-            stabilizer_allowed[s] = [bot] + [
-                v for v in non_bot if all(permute_value(v, p) == v for p in stab)]
+            allowed = [bot] + [v for j, v in enumerate(non_bot) if s.count(s[j]) == 1]
+            plan.append((forcers, allowed, None, None, []))
         else:
-            rep_map_perm[s] = next(p for p in perms if _permute_counts(rep, p) == s)
-
-    # due[i]: (signature position, its extensions' positions) for each signature
-    # whose C6 test can run once position i is assigned
-    due: list[list[tuple[int, list[int]]]] = [[] for _ in sigs]
+            perm = sorted(range(k), key=s.__getitem__)  # sends rep's coordinate j to perm[j]
+            relabel = {bot: bot, **{v: non_bot[perm[j]] for j, v in enumerate(non_bot)}}
+            plan.append((forcers, None, position[rep], relabel, []))
     for i, s in enumerate(sigs):
         if with_c6 and sum(s) < horizon:
             ext = [position[s[:j] + (s[j] + 1,) + s[j + 1:]] for j in range(k)]
-            due[max(ext)].append((i, ext))
+            plan[max(ext)][4].append((i, ext))
 
     assignment: list[str | None] = [None] * len(sigs)
     families: list[TabulatedFamily] = []
 
-    def forced_value(s: tuple[int, ...]) -> str | None:
-        forced: str | None = None
-        for j, sym in enumerate(non_bot):
-            if s[j] == 0:
-                continue
-            pred = s[:j] + (s[j] - 1,) + s[j + 1:]
-            pv = assignment[position[pred]]
-            if pv == sym:
-                if forced is None:
-                    forced = sym
-                elif forced != sym:
-                    return "__conflict__"
-        return forced
-
+    # each position reads only earlier ones, so a stale later value is never read
     def backtrack(idx: int) -> None:
         if idx == len(sigs):
             families.append(TabulatedFamily(alphabet, horizon, dict(zip(sigs, assignment))))
             return
-        s = sigs[idx]
-        forced = forced_value(s)
-        if forced == "__conflict__":
-            return
-        if orbit_rep[s] == s:
-            candidates = stabilizer_allowed[s]
-            if forced is not None:
-                candidates = [forced] if forced in candidates else []
-        else:
-            rep_value = assignment[position[orbit_rep[s]]]
-            determined = permute_value(rep_value, rep_map_perm[s])
-            candidates = [determined] if forced in (None, determined) else []
+        forcers, candidates, rep_pos, relabel, due = plan[idx]
+        forced = None
+        for sym, pred in forcers:
+            if assignment[pred] == sym:
+                if forced is not None:
+                    return  # two predecessors force different values
+                forced = sym
+        if relabel is not None:
+            candidates = [relabel[assignment[rep_pos]]]
+        if forced is not None:
+            candidates = [forced] if forced in candidates else []
         for value in candidates:
             assignment[idx] = value
-            if not any(assignment[i] == bot and all(assignment[e] == bot for e in ext)
-                       for i, ext in due[idx]):
+            if not due or not any(assignment[i] == bot and all(assignment[e] == bot for e in ext)
+                                  for i, ext in due):
                 backtrack(idx + 1)
-            assignment[idx] = None
 
     backtrack(0)
     families.sort(key=TabulatedFamily.value_tuple)
@@ -329,7 +300,11 @@ def maximal_elements(family_set: FamilySet) -> tuple[TabulatedFamily, ...]:
 
     f is strictly below g when g agrees wherever f is conclusive and the tables
     differ, over the set's common horizon.  Each table is one int, one bit per
-    (cell, non-tie value), so f is at most g exactly when ``F & ~G == 0``.
+    (cell, non-tie value), so f is at most g exactly when ``F & ~G == 0``.  The
+    masks are visited by decreasing bit count, each compared only with the
+    maximal masks found so far.  That is exact: a mask below any other is below
+    a maximal one (the set is finite and containment transitive), which has
+    strictly more bits and so was visited first.  The result keeps set order.
 
     On a truncated set such as ``enumerate_c_families(alphabet, h)`` the
     result includes horizon artifacts (see :func:`plurality_artifacts`):
@@ -342,10 +317,11 @@ def maximal_elements(family_set: FamilySet) -> tuple[TabulatedFamily, ...]:
     bits[family_set.alphabet.bot] = "0" * len(non_bot)
     masks = [int("".join(map(bits.__getitem__, f.value_tuple())), 2)
              for f in family_set.families]
-    return tuple(
-        f for f, m in zip(family_set.families, masks)
-        if not any(m != g and m & ~g == 0 for g in masks)
-    )
+    maximal: list[int] = []  # indices into the set, by decreasing bit count
+    for i in sorted(range(len(masks)), key=lambda i: -masks[i].bit_count()):
+        if not any(masks[i] & ~masks[j] == 0 for j in maximal):
+            maximal.append(i)
+    return tuple(family_set.families[i] for i in sorted(maximal))
 
 
 def plurality_artifacts(

@@ -20,6 +20,7 @@ from .core import (
     HorizonError,
     Profile,
     RuleDomainError,
+    canonical_keys,
     plurality_winner,
     signatures_up_to,
     table_values,
@@ -75,7 +76,7 @@ class TabulatedFamily:
         if len(self.table) != math.comb(self.horizon + len(self.alphabet.non_bot),
                                         len(self.alphabet.non_bot)):
             raise ValueError("table must cover exactly the canonical keys of its domain")
-        keys = [sig.counts for sig in signatures_up_to(self.alphabet, self.horizon)]
+        keys = canonical_keys(self.alphabet, self.horizon)
         object.__setattr__(self, "_values", table_values(self.table, keys, self.alphabet))
 
     def value_tuple(self) -> tuple[str, ...]:

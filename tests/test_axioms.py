@@ -390,7 +390,21 @@ class TestBounds:
         rule = MaySignRule() if check.__name__.startswith("check_ma") else PureMajorityRule(AB2)
         with pytest.raises(BoundError):
             check(rule, -1)
-        assert check(rule, 0).passed
+        if check in (check_c4, check_c5, check_tie_closure):
+            # they extend profiles below the bound: at 0 there are none to extend
+            with pytest.raises(BoundError):
+                check(rule, 0)
+        else:
+            assert check(rule, 0).passed
+
+    @pytest.mark.parametrize("axiom", ["C4", "C5", "TIE_CLOSURE"])
+    def test_audit_refuses_a_zero_bound_for_extension_axioms(self, axiom):
+        calls = []
+        rule = FunctionRule(AB2, lambda p: calls.append(p) or "_", "counting")
+        with pytest.raises(BoundError):
+            audit(rule, ("C2", axiom), 0)
+        assert calls == []
+        assert audit(rule, ("C2", "C3", "C6"), 0).results[0].passed
 
     @pytest.mark.parametrize("check", ALL_CHECKERS, ids=lambda c: c.__name__)
     def test_over_budget_raises_before_evaluating(self, check):

@@ -285,8 +285,16 @@ class TestBoundsAndDocs:
         assert main(["audit", "--rule", "pure-majority", "--max-voters", "-1",
                      "--out", str(out)]) == 3
         assert not out.exists()
+        # C4, C5 and TIE_CLOSURE have nothing to extend at 0: no vacuous pass
+        for axiom in ("C4", "C5", "TIE_CLOSURE"):
+            assert main(["audit", "--rule", "pure-majority", "--alternatives", "2",
+                         "--max-voters", "0", "--axioms", axiom, "--out", str(out)]) == 3
+            assert not out.exists()
         assert main(["audit", "--rule", "pure-majority", "--max-voters", "0",
-                     "--out", str(out)]) == 0
+                     "--out", str(out)]) == 3
+        assert not out.exists()
+        assert main(["audit", "--rule", "pure-majority", "--max-voters", "0",
+                     "--axioms", "C2,C3,C6", "--out", str(out)]) == 0
 
     def test_negative_order_bound_exits_3(self, capsys, tmp_path):
         out = tmp_path / "o.json"
@@ -352,6 +360,16 @@ class TestBoundsAndDocs:
                      "--out", str(out)]) == 2
         assert not out.exists()
         assert "malformed tabulated family document" in capsys.readouterr().err
+
+    def test_family_with_a_list_valued_entry_exits_2(self, tmp_path, capsys):
+        doc = family_json(pure_majority_table(AB2, 2))
+        doc["entries"][3] = [doc["entries"][3][0], ["a"]]
+        fam_path = write(tmp_path, "fam.json", json.dumps(doc))
+        out = tmp_path / "r.json"
+        assert main(["audit", "--rule", f"tabulated:{fam_path}", "--max-voters", "2",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "table value ['a'] not in" in capsys.readouterr().err
 
     def test_enumerate_document(self, tmp_path):
         out = str(tmp_path / "e.json")
@@ -442,6 +460,52 @@ def test_a_shared_container_renders_at_every_place_it_is_listed(shared, other):
         assert render_document(doc) == json.dumps(doc, indent=2) + "\n", layout
 
 
+class ListSub(list):
+    pass
+
+
+class DictSub(dict):
+    pass
+
+
+items = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 5) | st.floats() | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=3) | st.lists(children, max_size=3).map(tuple)
+    | st.lists(children, max_size=3).map(ListSub)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3).map(DictSub),
+    max_leaves=8,
+)
+
+
+@st.composite
+def documents_of_shared_lists(draw):
+    """Lists of a few shared items, each list several times, at one indent and
+    at two, beside lists that mix shared and new items."""
+    pool = draw(st.lists(items, min_size=1, max_size=4))
+    shared = st.integers(0, len(pool) - 1).map(pool.__getitem__)
+    kind = draw(st.sampled_from([list, tuple, ListSub]))
+    rows = [kind(row) for row in draw(st.lists(st.lists(shared, min_size=1, max_size=5),
+                                               min_size=1, max_size=3))]
+    mixed = draw(st.lists(st.lists(shared | items, min_size=1, max_size=5), max_size=3))
+    return {"rows": rows + mixed + rows + rows, "nested": [rows, DictSub(r=rows), [rows]],
+            "pool": pool}
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents_of_shared_lists())
+def test_lists_of_shared_items_render_as_json_dumps_writes(doc):
+    assert render_document(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_a_list_of_items_written_once_renders_as_json_dumps_writes():
+    # the items' texts are still spans of the output at the second list and
+    # copied out by the third, which is written in one call
+    a, b = [1, "x", True], DictSub(k=[None, 1.5, (2,)])
+    doc = {"first": [a, b], "second": ListSub([a, b]), "third": (b, a, b), "fourth": [a]}
+    assert render_document(doc) == json.dumps(doc, indent=2) + "\n"
+
+
 def test_a_document_built_after_another_is_freed_renders_its_own_text():
     # the second document's containers are allocated where the first one's
     # were, so a memo that outlived one call would hand back the old text
@@ -504,13 +568,21 @@ audited_rules = st.one_of(
 )
 
 
+ZERO_BOUND_AXIOMS = "C2,C3,C6,PLURALITY_PROPERTY,UNAVOIDABLE_TIES"  # less C4, C5, TIE_CLOSURE
+
+
 @settings(max_examples=40, deadline=None)
 @given(audited_rules, st.integers(2, 3), st.integers(0, 5))
+@example("quorum:literal:2", 2, 0)  # C6 fails at the empty profile
 def test_every_fail_witness_reparses_and_reevaluates(descriptor, k, n_max):
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "report.json")
-        code = main(["audit", "--rule", descriptor, "--alternatives", str(k),
-                     "--max-voters", str(n_max), "--axioms", ALL_C_AND_DERIVED, "--out", out])
+        argv = ["audit", "--rule", descriptor, "--alternatives", str(k),
+                "--max-voters", str(n_max), "--out", out, "--axioms"]
+        code = main(argv + [ALL_C_AND_DERIVED])
+        if n_max == 0:  # C4, C5 and TIE_CLOSURE would pass vacuously: refused
+            assert code == 3 and not os.path.exists(out)
+            code = main(argv + [ZERO_BOUND_AXIOMS])
         with open(out, encoding="utf-8") as fh:
             doc = json.load(fh)
     statuses = [r["status"] for r in doc["results"]]

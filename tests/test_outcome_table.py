@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from votelab.core import (
     Alphabet,
     AltPermutation,
+    BoundError,
     HorizonError,
     Profile,
     RuleDomainError,
@@ -139,9 +140,15 @@ def naive_c3(rule, n_max):
     return CheckResult("C3", "pass", None, checked)
 
 
+def naive_extensible(axiom, n_max):
+    if n_max < 1:
+        raise BoundError(f"{axiom} extends the profiles below max voters {n_max}: none")
+
+
 def naive_join(axiom, joining, broken):
     def check(rule, n_max):
         naive_checkable(rule.alphabet)
+        naive_extensible(axiom, n_max)
         bot = rule.alphabet.bot
         checked = 0
         for size in range(n_max):
@@ -286,9 +293,12 @@ CHECKERS = {
 }
 
 
-def naive_audit(rule, n_max, ma4_semantics="in_favor"):
+def naive_audit(rule, n_max, ma4_semantics="in_favor", audited=ALL_AXIOMS):
+    for axiom in audited:
+        if axiom in ("C4", "C5", "TIE_CLOSURE"):
+            naive_extensible(axiom, n_max)  # refused before any axiom runs
     results = []
-    for axiom in ALL_AXIOMS:
+    for axiom in (a for a in ALL_AXIOMS if a in audited):
         try:
             if axiom not in axioms.MA_AXIOMS:
                 results.append(NAIVE[axiom](rule, n_max))
@@ -308,6 +318,12 @@ def naive_audit(rule, n_max, ma4_semantics="in_favor"):
             results.append(CheckResult(axiom, "error", None, 0, error=str(exc),
                                        error_type=type(exc)))
     return tuple(results)
+
+
+def audited_at(n_max):
+    """Every axiom, less C4, C5 and TIE_CLOSURE at 0, where they refuse the bound."""
+    return ALL_AXIOMS if n_max else tuple(a for a in ALL_AXIOMS
+                                          if a not in ("C4", "C5", "TIE_CLOSURE"))
 
 
 def outcome(check, *args, **kwargs):
@@ -393,8 +409,13 @@ def test_checkers_match_the_per_profile_loops(drawn):
 @given(drawn_rules(), st.sampled_from(["in_favor", "flip"]))
 def test_audit_matches_the_per_profile_loops(drawn, semantics):
     rule, n_max = drawn
-    report = axioms.audit(rule, ALL_AXIOMS, n_max, ma4_semantics=semantics)
-    assert report.results == naive_audit(rule, n_max, semantics)
+    if n_max == 0:
+        refused = outcome(axioms.audit, rule, ALL_AXIOMS, 0, ma4_semantics=semantics)
+        assert refused == outcome(naive_audit, rule, 0, semantics)
+        assert refused[0] is BoundError
+    audited = audited_at(n_max)
+    report = axioms.audit(rule, audited, n_max, ma4_semantics=semantics)
+    assert report.results == naive_audit(rule, n_max, semantics, audited)
 
 
 @settings(max_examples=60, deadline=None)
@@ -415,7 +436,11 @@ def test_checkers_evaluate_no_more_than_the_loops(drawn):
 def test_audit_evaluates_each_profile_at_most_once(drawn):
     rule, n_max = drawn
     table_rule, calls = counted(rule)
-    axioms.audit(table_rule, ALL_AXIOMS, n_max)
+    if n_max == 0:
+        with pytest.raises(BoundError):
+            axioms.audit(table_rule, ALL_AXIOMS, 0)
+        assert not calls  # refused before any evaluation
+    axioms.audit(table_rule, audited_at(n_max), n_max)
     assert max(calls.values(), default=1) == 1
     # every size up to the C6 probes beyond the bound is reached
     assert {len(b) for b in calls} <= set(range(n_max + 2))

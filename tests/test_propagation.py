@@ -1,12 +1,16 @@
-"""The family search checks C6 while it assigns values, and ``maximal_elements``
-compares one-hot bitmasks; here both are held to the code they replaced.
+"""The family search runs from a precomputed plan and checks C6 while it
+assigns values, and ``maximal_elements`` compares one-hot bitmasks against the
+maximal set found so far; here each is held to the code it replaced.
 
-``old_passes_c6`` is the leaf filter the search used to apply to each finished
-table, and ``old_maximal_elements`` with ``old_table_leq`` the pairwise
-comparison of value tuples.  They are copies, kept as an independent oracle.
+``old_enumerate_c_families`` is the backtracker that looked up forcing
+predecessors and orbit representatives at every node, ``old_passes_c6`` the
+leaf filter the search used to apply to each finished table, and
+``old_maximal_elements`` with ``old_table_leq`` the pairwise comparison of
+value tuples.  They are copies, kept as an independent oracle.
 """
 
 import functools
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -45,6 +49,89 @@ def old_maximal_elements(family_set):
     )
 
 
+def _permute_counts(counts, perm):
+    out = [0] * len(counts)
+    for i, c in enumerate(counts):
+        out[perm[i]] = c
+    return tuple(out)
+
+
+def old_enumerate_c_families(alphabet, horizon, with_c6=False):
+    """The family value tuples, in canonical order."""
+    k = len(alphabet.non_bot)
+    sigs = [s.counts for s in signatures_up_to(alphabet, horizon)]
+    position = {s: i for i, s in enumerate(sigs)}
+    perms = list(itertools.permutations(range(k)))
+    non_bot = alphabet.non_bot
+    bot = alphabet.bot
+
+    def permute_value(value, perm):
+        if value == bot:
+            return bot
+        return non_bot[perm[non_bot.index(value)]]
+
+    orbit_rep = {}
+    stabilizer_allowed = {}
+    rep_map_perm = {}
+    for s in sigs:
+        rep = orbit_rep[s] = min(_permute_counts(s, p) for p in perms)
+        if rep == s:
+            stab = [p for p in perms if _permute_counts(s, p) == s]
+            stabilizer_allowed[s] = [bot] + [
+                v for v in non_bot if all(permute_value(v, p) == v for p in stab)]
+        else:
+            rep_map_perm[s] = next(p for p in perms if _permute_counts(rep, p) == s)
+
+    due = [[] for _ in sigs]
+    for i, s in enumerate(sigs):
+        if with_c6 and sum(s) < horizon:
+            ext = [position[s[:j] + (s[j] + 1,) + s[j + 1:]] for j in range(k)]
+            due[max(ext)].append((i, ext))
+
+    assignment = [None] * len(sigs)
+    found = []
+
+    def forced_value(s):
+        forced = None
+        for j, sym in enumerate(non_bot):
+            if s[j] == 0:
+                continue
+            pred = s[:j] + (s[j] - 1,) + s[j + 1:]
+            pv = assignment[position[pred]]
+            if pv == sym:
+                if forced is None:
+                    forced = sym
+                elif forced != sym:
+                    return "__conflict__"
+        return forced
+
+    def backtrack(idx):
+        if idx == len(sigs):
+            found.append(tuple(assignment))
+            return
+        s = sigs[idx]
+        forced = forced_value(s)
+        if forced == "__conflict__":
+            return
+        if orbit_rep[s] == s:
+            candidates = stabilizer_allowed[s]
+            if forced is not None:
+                candidates = [forced] if forced in candidates else []
+        else:
+            rep_value = assignment[position[orbit_rep[s]]]
+            determined = permute_value(rep_value, rep_map_perm[s])
+            candidates = [determined] if forced in (None, determined) else []
+        for value in candidates:
+            assignment[idx] = value
+            if not any(assignment[i] == bot and all(assignment[e] == bot for e in ext)
+                       for i, ext in due[idx]):
+                backtrack(idx + 1)
+            assignment[idx] = None
+
+    backtrack(0)
+    return sorted(found)
+
+
 @functools.lru_cache(maxsize=None)
 def families(k, horizon, with_c6=False):
     return enumerate_c_families(Alphabet.make(k), horizon, with_c6=with_c6)
@@ -62,6 +149,13 @@ def test_c6_search_matches_the_leaf_filter(k, horizon):
     kept = [f.value_tuple() for f in families(k, horizon).families
             if old_passes_c6(f.table, alphabet, horizon)]
     assert [f.value_tuple() for f in families(k, horizon, True).families] == kept
+
+
+@pytest.mark.parametrize("with_c6", [False, True])
+@pytest.mark.parametrize("k, horizon", SEARCH_BOUNDS)
+def test_planned_search_matches_the_old_backtracker(k, horizon, with_c6):
+    expected = old_enumerate_c_families(Alphabet.make(k), horizon, with_c6)
+    assert [f.value_tuple() for f in families(k, horizon, with_c6).families] == expected
 
 
 def test_three_alternatives_h6_with_c6_keeps_14_families():
@@ -107,6 +201,17 @@ def test_maximal_elements_match_the_pairwise_loop(kind, k, horizon):
 def test_maximal_elements_of_subsets_match_the_pairwise_loop(picked):
     every = families(2, 5).families
     fs = FamilySet(AB2, 5, tuple(every[i] for i in sorted(picked)))
+    assert maximal_elements(fs) == old_maximal_elements(fs)
+
+
+@pytest.mark.parametrize("horizon, with_c6", [(4, False), (6, True)])  # 100 and 14 families
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_maximal_elements_of_three_alternative_subsets_match_the_pairwise_loop(
+        horizon, with_c6, data):
+    every = families(3, horizon, with_c6)
+    picked = data.draw(st.sets(st.integers(0, len(every.families) - 1)))
+    fs = FamilySet(every.alphabet, horizon, tuple(every.families[i] for i in sorted(picked)))
     assert maximal_elements(fs) == old_maximal_elements(fs)
 
 

@@ -18,6 +18,7 @@ from votelab.core import (
     tally,
 )
 from votelab import rules
+from votelab.enumeration import MayFunctionTable
 from votelab.rules import (
     MaySignRule,
     PureMajorityRule,
@@ -130,6 +131,37 @@ class TestSupermajority:
             assert rule.evaluate(p) == rule.evaluate(extend(p, "_"))
 
 
+def bad_tables(table, key, foreign_key, foreign_value):
+    """(case, table, error text) for each way a table can miss its domain:
+    ``key`` is one of its keys, ``foreign_key`` lies outside its domain."""
+    without = {k: v for k, v in table.items() if k != key}
+    keys = "table must cover exactly the canonical keys of its domain"
+    return [
+        ("missing key", without, keys),
+        ("extra key", {**table, foreign_key: table[key]}, keys),
+        ("key of the wrong length", {**without, key + (0,): table[key]}, keys),
+        ("value outside the alphabet", {**table, key: foreign_value},
+         f"table value {foreign_value!r} not in"),
+        ("unhashable value", {**table, key: [table[key]]}, r"table value \["),
+    ]
+
+
+FAMILY_CASES = bad_tables(pure_majority_table(AB2, 2).table, (1, 1), (3, 0), "z")
+MAY_CASES = bad_tables(MayFunctionTable.sign_table(2).table, (0, 1, 1), (1, 1, 1), 2)
+
+
+@pytest.mark.parametrize("case, table, error", FAMILY_CASES, ids=[c[0] for c in FAMILY_CASES])
+def test_a_bad_family_table_raises_value_error(case, table, error):
+    with pytest.raises(ValueError, match=error):
+        TabulatedFamily(AB2, 2, table)
+
+
+@pytest.mark.parametrize("case, table, error", MAY_CASES, ids=[c[0] for c in MAY_CASES])
+def test_a_bad_may_table_raises_value_error(case, table, error):
+    with pytest.raises(ValueError, match=error):
+        MayFunctionTable(2, table)
+
+
 class TestTabulated:
     def test_pure_majority_table_lookup(self):
         fam = pure_majority_table(AB2, 4)
@@ -171,6 +203,7 @@ class TestTabulated:
             raise AssertionError("signature keys built before the horizon was checked")
 
         monkeypatch.setattr(rules, "signatures_up_to", no_keys)
+        monkeypatch.setattr(rules, "canonical_keys", no_keys)
         with pytest.raises(ValueError):
             TabulatedFamily(AB2, horizon, table)
 
