@@ -30,6 +30,19 @@ earlier code, and a failing code is always the least of its orbit.  The
 evaluated profiles, the witness, the profile count and the first error raised
 are therefore those of the loop over every code.
 
+The index tables an outcome table reads depend only on the alphabet and the
+profile size, so each is built once per process and shared by every table:
+the ballot tuples of half a profile (keyed by the symbols in order), each
+code's counts and class representative (by k), the relabeled codes of half a
+profile (by the relabeling's digit map) and the relabelings C2 tests.  Once
+every slot of a level holds a symbol its reader is the slot list's own lookup,
+so the checkers after C2 read lists; a level holding an error keeps the
+evaluating reader.  C3 and MA2 compare each outcome with the one at its class
+representative, the least code with the same counts.  A class offends iff one
+of its codes mismatches, and its first code is its representative, so the
+least representative among the mismatching codes is the first code of the
+first offending class: the witness of the loop over every class.
+
 Neutrality (C2), anonymity (C3) and tie-ballot invariance (C4) are always
 tested on raw profiles, never through the count-signature quotient, so a bug in
 the signature representation cannot mask a violation.  The table is indexed by
@@ -42,6 +55,7 @@ TIE_CLOSURE, which extend the profiles below the bound, also refuse 0.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable
@@ -77,19 +91,8 @@ PLURALITY_PROPERTY = "PLURALITY_PROPERTY"
 UNAVOIDABLE_TIES = "UNAVOIDABLE_TIES"
 TIE_CLOSURE = "TIE_CLOSURE"
 
-ALL_AXIOMS = (
-    C2,
-    C3,
-    C4,
-    C5,
-    C6,
-    MA2,
-    MA3,
-    MA4,
-    PLURALITY_PROPERTY,
-    UNAVOIDABLE_TIES,
-    TIE_CLOSURE,
-)
+ALL_AXIOMS = (C2, C3, C4, C5, C6, MA2, MA3, MA4,
+              PLURALITY_PROPERTY, UNAVOIDABLE_TIES, TIE_CLOSURE)
 
 C_AXIOMS = (C2, C3, C4, C5, C6)
 MA_AXIOMS = (MA2, MA3, MA4)
@@ -166,20 +169,24 @@ class Outcomes:
         self.k = len(rule.alphabet.alternatives)
         self._digit = {s: d for d, s in enumerate(rule.alphabet.alternatives)}
         self._slots: dict[int, list] = {}
-        self._halves: dict[int, list[tuple[str, ...]]] = {}
-        self._counts: dict[int, list[tuple[int, ...]]] = {0: [(0,) * self.k]}
+        self._symbols: dict[int, int] = {}
 
     def reader(self, size: int) -> Callable[[int], str]:
         """Outcome by code among the profiles of ``size`` ballots; raises what
         the rule raised on that profile, or RuleDomainError where its outcome
-        is not a symbol of the alphabet."""
+        is not a symbol of the alphabet.  Once every slot of the level holds a
+        symbol, the reader is the slot list's own lookup."""
         slots = self._slots.get(size)
         if slots is None:
             slots = self._slots[size] = [_PENDING] * self.k ** size
+            self._symbols[size] = 0
+        if self._symbols[size] == len(slots):
+            return slots.__getitem__
         low = size // 2
         tail_codes = self.k ** low
-        heads, tails = self._ballots(size - low), self._ballots(low)
-        alphabet, evaluate = self.alphabet, self.rule.evaluate
+        alphabet, evaluate, symbols = self.alphabet, self.rule.evaluate, self._symbols
+        alternatives = alphabet.alternatives
+        heads, tails = _ballots(alternatives, size - low), _ballots(alternatives, low)
 
         def read(code: int) -> str:
             value = slots[code]
@@ -192,10 +199,12 @@ class Outcomes:
                 except Exception as exc:  # kept in the slot; every read raises it
                     value = exc
                 else:
-                    if value not in self.alphabet.alternatives:
+                    if value in alternatives:
+                        symbols[size] += 1
+                    else:
                         value = RuleDomainError(
                             f"rule {self.rule.descriptor} answered {value!r}, which is "
-                            f"not a symbol of the alphabet {self.alphabet.alternatives}"
+                            f"not a symbol of the alphabet {alternatives}"
                         )
                 slots[code] = value
             if isinstance(value, Exception):
@@ -212,31 +221,54 @@ class Outcomes:
         except KeyError:
             raise ValueError(f"symbol {symbol!r} not in alphabet") from None
 
-    def digits(self, size: int, code: int) -> list[int]:
-        """The ballots of the profile at ``code``, as alphabet indices."""
-        out = [0] * size
-        for i in range(size - 1, -1, -1):
-            code, out[i] = divmod(code, self.k)
-        return out
-
     def profile(self, size: int, code: int) -> Profile:
         """The profile at ``code``, its two halves looked up among the ballot
         tuples of half the size."""
         low = size // 2
         head, tail = divmod(code, self.k ** low)
-        return Profile(self.alphabet, self._ballots(size - low)[head] + self._ballots(low)[tail])
+        alts = self.alphabet.alternatives
+        return Profile(self.alphabet, _ballots(alts, size - low)[head] + _ballots(alts, low)[tail])
 
-    def _ballots(self, size: int) -> list[tuple[str, ...]]:
-        if size not in self._halves:
-            self._halves[size] = list(itertools.product(self.alphabet.alternatives, repeat=size))
-        return self._halves[size]
 
-    def counts(self, size: int) -> list[tuple[int, ...]]:
-        """Per code, the ballot count of every alternative, tie included."""
-        if size not in self._counts:
-            self._counts[size] = [c[:d] + (c[d] + 1,) + c[d + 1:]
-                                  for c in self.counts(size - 1) for d in range(self.k)]
-        return self._counts[size]
+@functools.lru_cache(maxsize=None)
+def _ballots(alternatives: tuple[str, ...], size: int) -> list[tuple[str, ...]]:
+    """The ballot tuples of ``size`` voters in code order."""
+    return list(itertools.product(alternatives, repeat=size))
+
+
+@functools.lru_cache(maxsize=None)
+def _counts(k: int, size: int) -> list[tuple[int, ...]]:
+    """Per code of ``size`` ballots over k symbols, the count of every symbol,
+    tie included: one tuple per ballot multiset, shared by its codes."""
+    if size == 0:
+        return [(0,) * k]
+    one: dict[tuple[int, ...], tuple[int, ...]] = {}
+    grown = (c[:d] + (c[d] + 1,) + c[d + 1:] for c in _counts(k, size - 1) for d in range(k))
+    return [one.setdefault(c, c) for c in grown]
+
+
+@functools.lru_cache(maxsize=None)
+def _class_first(k: int, size: int) -> list[int]:
+    """Per code, the least code with the same ballot multiset: its class
+    representative, found by the per-code counts."""
+    first: dict[tuple[int, ...], int] = {}
+    return [first.setdefault(c, code) for code, c in enumerate(_counts(k, size))]
+
+
+@functools.lru_cache(maxsize=None)
+def _images(sigma: tuple[int, ...], size: int) -> list[int]:
+    """Per code of ``size`` digits, the code of its image under the digit map
+    ``sigma`` (digit d becomes ``sigma[d]``)."""
+    k = len(sigma)
+    return [c * k + s for c in _images(sigma, size - 1) for s in sigma] if size else [0]
+
+
+@functools.lru_cache(maxsize=None)
+def _relabelings(alphabet: Alphabet) -> tuple[AltPermutation, ...]:
+    """Every relabeling of the non-tie alternatives but the identity."""
+    return tuple(AltPermutation.from_non_bot_images(alphabet, images)
+                 for images in itertools.permutations(alphabet.non_bot)
+                 if images != alphabet.non_bot)
 
 
 def _table(rule: RuleFamily, n_max: int, sizes: range, outcomes: Outcomes | None) -> Outcomes:
@@ -264,12 +296,7 @@ def check_c2(rule: RuleFamily, n_max: int, *, outcomes: Outcomes | None = None) 
     """Neutrality: relabeling non-tie alternatives relabels the outcome."""
     _require_checkable(rule.alphabet)
     table = _table(rule, n_max, range(n_max + 1), outcomes)
-    non_bot = rule.alphabet.non_bot
-    perms = [
-        AltPermutation.from_non_bot_images(rule.alphabet, images)
-        for images in itertools.permutations(non_bot)
-        if images != non_bot
-    ]
+    perms = _relabelings(rule.alphabet)
     checked = 0
     for size in range(n_max + 1):
         witness, count = _relabel_scan(table, size, perms, C2)
@@ -280,7 +307,7 @@ def check_c2(rule: RuleFamily, n_max: int, *, outcomes: Outcomes | None = None) 
 
 
 def _relabel_scan(
-    table: Outcomes, size: int, perms: list[AltPermutation], axiom: str
+    table: Outcomes, size: int, perms: tuple[AltPermutation, ...], axiom: str
 ) -> tuple[Witness | None, int]:
     """Relabeling at one profile size, with the profile count: the outcome of
     each relabeled profile must be the relabeled outcome.
@@ -296,12 +323,9 @@ def _relabel_scan(
     tail_codes = k ** low
     maps = []
     for perm in perms:
-        sigma = [table.digit(s) for s in perm.mapping]
-        images = [[0]]
-        for _ in range(size - low):
-            images.append([c * k + sigma[d] for c in images[-1] for d in range(k)])
+        sigma = tuple(map(table.digit, perm.mapping))
         maps.append((perm, dict(zip(perm.alphabet.alternatives, perm.mapping)),
-                     images[size - low], images[low]))
+                     _images(sigma, size - low), _images(sigma, low)))
     seen = bytearray(k ** size)
     for code in range(k ** size):
         if seen[code]:
@@ -343,35 +367,28 @@ def check_c3(rule: RuleFamily, n_max: int, *, outcomes: Outcomes | None = None) 
 def _multiset_scan(table: Outcomes, size: int, axiom: str) -> tuple[Witness | None, int]:
     """Voter-permutation invariance at one profile size, with the profile count.
 
-    Reads every profile of the size and checks the outcome for constancy on
-    each ballot-multiset class.  The witness is the first profile of an
-    offending class with the first voter permutation that changes its outcome.
+    Reads every profile of the size and compares each outcome with the one
+    at its class representative.  The witness is the least representative
+    among the mismatching codes, the first profile of an offending class,
+    with the first voter permutation that changes its outcome.
     """
-    read = table.reader(size)
-    outcomes = [read(code) for code in range(table.k ** size)]
-    keys = table.counts(size)
-    class_value: dict[tuple[int, ...], str] = {}
-    bad_classes: set[tuple[int, ...]] = set()
-    for key, value in zip(keys, outcomes):
-        if class_value.setdefault(key, value) != value:
-            bad_classes.add(key)
-    if not bad_classes:
+    outcomes = list(map(table.reader(size), range(table.k ** size)))
+    first = _class_first(table.k, size)
+    if list(map(outcomes.__getitem__, first)) == outcomes:
         return None, len(outcomes)
-    for code, key in enumerate(keys):
-        if key not in bad_classes:
-            continue
-        fx = outcomes[code]
-        digits = table.digits(size, code)
-        for mapping in itertools.permutations(range(size)):
-            moved = 0
-            for voter in mapping:
-                moved = moved * table.k + digits[voter]
-            if outcomes[moved] != fx:
-                w = Witness(axiom, table.profile(size, code), table.profile(size, moved),
-                            voter_permutation=VoterPermutation(mapping),
-                            expected=fx, observed=outcomes[moved])
-                return w, len(outcomes)
-    return None, len(outcomes)
+    code = min(r for r, value in zip(first, outcomes) if outcomes[r] != value)
+    fx, base = outcomes[code], table.profile(size, code)
+    digits = list(map(table.digit, base.ballots))
+    for mapping in itertools.permutations(range(size)):
+        moved = 0
+        for voter in mapping:
+            moved = moved * table.k + digits[voter]
+        if outcomes[moved] != fx:
+            w = Witness(axiom, base, table.profile(size, moved),
+                        voter_permutation=VoterPermutation(mapping),
+                        expected=fx, observed=outcomes[moved])
+            return w, len(outcomes)
+    raise AssertionError("an offending class holds another outcome")
 
 
 def _require_extensible(axiom: str, n_max: int) -> None:
@@ -462,7 +479,7 @@ def check_plurality_property(
     checked = 0
     for size in range(n_max + 1):
         read = table.reader(size)
-        for code, counts in enumerate(table.counts(size)):
+        for code, counts in enumerate(_counts(table.k, size)):
             checked += 1
             outcome = read(code)
             if outcome == bot:
@@ -489,7 +506,7 @@ def check_unavoidable_ties(
     checked = 0
     for size in range(n_max + 1):
         read = table.reader(size)
-        for code, counts in enumerate(table.counts(size)):
+        for code, counts in enumerate(_counts(table.k, size)):
             checked += 1
             tops = [counts[d] for d in non_bot]
             if tops.count(max(tops)) < 2:
@@ -535,7 +552,7 @@ def check_ma3(rule: RuleFamily, n: int, *, outcomes: Outcomes | None = None) -> 
     _require_may(rule)
     table = _table(rule, n, range(n, n + 1), outcomes)
     negate = AltPermutation.swap(rule.alphabet, "-1", "1")
-    witness, checked = _relabel_scan(table, n, [negate], MA3)
+    witness, checked = _relabel_scan(table, n, (negate,), MA3)
     return CheckResult(MA3, "pass" if witness is None else "fail", witness, checked)
 
 
@@ -684,8 +701,6 @@ def replay_main_proof(rule: RuleFamily, profile: Profile) -> ReplayResult:
         extensions=k, steps=tuple(steps),
         alt_permutation=alt_perm, voter_permutation=voter_perm,
     )
-
-
 
 
 def audit(

@@ -203,10 +203,10 @@ class TabulatedRule(RuleFamily):
     def evaluate(self, profile: Profile) -> str:
         self._check_profile(profile)
         counts = tuple(map(profile.ballots.count, self.alphabet.non_bot))
-        total = sum(counts)
-        if total > self.family.horizon:
+        # no more ballots than the horizon: the signature total is within it
+        if len(profile.ballots) > self.family.horizon and sum(counts) > self.family.horizon:
             raise HorizonError(
-                f"signature total {total} exceeds family horizon {self.family.horizon}"
+                f"signature total {sum(counts)} exceeds family horizon {self.family.horizon}"
             )
         return self.family.table[counts]
 

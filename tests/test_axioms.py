@@ -132,6 +132,30 @@ class TestC3:
                 assert res.witness.voter_permutation.mapping == mapping
 
 
+    def test_first_non_tie_ballot_fails_c3_alone(self):
+        # a C3 audit witness is reached: the rule passes every other C-axiom
+        rule = FunctionRule(AB2, lambda p: next((b for b in p.ballots if b != "_"), "_"),
+                            "first-non-tie")
+        report = audit(rule, ("C2", "C3", "C4", "C5", "C6"), 6)
+        assert [r.status for r in report.results] == ["pass", "fail", "pass", "pass", "pass"]
+        w = report.result_for("C3").witness
+        assert apply_voter_permutation(w.base_profile, w.voter_permutation) == w.moved_to
+        assert rule.evaluate(w.base_profile) == w.expected
+        assert rule.evaluate(w.moved_to) == w.observed
+
+    def test_witness_is_the_first_profile_of_the_least_offending_class(self):
+        # (a,_,b) is the first profile off its class's outcome, but the class
+        # of (a,a,b), which (b,a,a) leaves, comes first
+        changed = {("b", "a", "a"): "b", ("a", "_", "b"): "b"}
+        rule = FunctionRule(AB2, lambda p: changed.get(p.ballots) or pure_majority(p),
+                            "two-changed")
+        res = check_c3(rule, 3)
+        w = res.witness
+        assert (w.base_profile.ballots, w.moved_to.ballots) == (("a", "a", "b"), ("b", "a", "a"))
+        assert w.voter_permutation.mapping == (2, 0, 1)
+        assert (w.expected, w.observed, res.profiles_checked) == ("a", "b", 40)
+
+
 class TestC4:
     def test_quorum_literal_fails_at_threshold_minus_one(self):
         res = check_c4(QuorumRule(AB2, 3, "literal"), 4)

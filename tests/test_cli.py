@@ -26,7 +26,7 @@ from votelab.cli import (
     parse_rule,
     render_document,
 )
-from votelab.rules import pure_majority_table
+from votelab.rules import TabulatedFamily, pure_majority_table
 
 AB2 = Alphabet.make(2)
 
@@ -613,6 +613,28 @@ def test_every_fail_witness_reparses_and_reevaluates(descriptor, k, n_max):
         # the profile is tied, and so is every one-voter extension
         assert (w["axiom"], w["expected"], w["observed"], before) == ("C6", None, bot, bot)
         assert all(rule.evaluate(extend(base, s)) == bot for s in alphabet.alternatives)
+
+
+def test_a_c2_witness_is_reached_and_reparses(tmp_path):
+    # a wins when a > 0 and a >= b (so a wins every tie); else b if b > 0:
+    # anonymous and consistent, but not neutral
+    table = {(a, b): "a" if a and a >= b else "b" if b else "_"
+             for a in range(7) for b in range(7 - a)}
+    family = TabulatedFamily(AB2, 6, table)
+    name = write(tmp_path, "a-wins-ties.json", json.dumps(family_json(family)))
+    out = str(tmp_path / "report.json")
+    argv = ["audit", "--rule", f"tabulated:{name}", "--max-voters", "6", "--axioms", "C2-C5"]
+    assert main(argv + ["--out", out]) == 1
+    doc = json.loads(pathlib.Path(out).read_text())
+    assert [r["status"] for r in doc["results"]] == ["fail", "pass", "pass", "pass"]
+    w = doc["results"][0]["witness"]
+    assert (w["profile"], w["moved_to"], w["expected"], w["observed"]) == (
+        ["a", "b"], ["b", "a"], "b", "a")
+    rule = parse_rule(f"tabulated:{name}", AB2)
+    base, moved = (Profile(AB2, parse_ballot_file(format_ballot_file(AB2, w[key]))[2])
+                   for key in ("profile", "moved_to"))
+    assert w["alt_permutation"][rule.evaluate(base)] == w["expected"]
+    assert rule.evaluate(moved) == w["observed"]
 
 
 ordered_rules = st.just("pure-majority") | audited_rules

@@ -572,3 +572,51 @@ def test_an_outcome_outside_the_alphabet_is_an_error_for_every_checker(monkeypat
     argv = ["audit", "--rule", "pure-majority", "--alternatives", "2", "--max-voters", "2",
             "--axioms", "C2-C6,PLURALITY_PROPERTY", "--out", str(tmp_path / "report.json")]
     assert cli.main(argv) == 2
+
+
+# the shared index tables are keyed by what they depend on: alphabets with the
+# same size but another symbol order or tie position must not share a table
+KEYED_ALPHABETS = [AB2, Alphabet(("_", "a", "b"), "_"), Alphabet(("b", "a", "_"), "_"), MAY]
+
+
+def keyed_rules(alphabet):
+    yield PureMajorityRule(alphabet)
+    for base in ("first-ballot", "first-symbol", "size-parity"):
+        yield FunctionRule(alphabet, BASES[base], base)
+
+
+def test_interleaved_audits_over_alphabets_of_one_size_match_the_loops():
+    for _ in range(2):
+        for alphabet in KEYED_ALPHABETS:
+            for rule in keyed_rules(alphabet):
+                assert axioms.audit(rule, ALL_AXIOMS, 4).results == naive_audit(rule, 4)
+
+
+def test_a_level_with_an_error_keeps_raising_it_after_another_checker():
+    # C3 fills level 2 but for ("_", "_"), whose error C4 then reads again
+    def refuse_abstainers(p):
+        if p.ballots == ("_", "_"):
+            raise RuleDomainError("two abstainers")
+        return pure_majority(p)
+
+    plain = FunctionRule(AB2, refuse_abstainers, "no-abstainers")
+    rule, calls = counted(plain)
+    table = axioms.Outcomes(rule)
+    assert outcome(axioms.check_c3, rule, 3, outcomes=table) == (RuleDomainError, "two abstainers")
+    assert outcome(axioms.check_c4, rule, 3, outcomes=table) == outcome(naive_c4, plain, 3)
+    assert calls[("_", "_")] == 1
+    report = axioms.audit(plain, ("C3", "C4"), 3)
+    assert report.results == naive_audit(plain, 3, audited=("C3", "C4"))
+    assert report.results[1].error_type is RuleDomainError
+
+
+def test_a_full_level_is_read_as_a_list():
+    rule, calls = counted(PureMajorityRule(AB3))
+    table = axioms.Outcomes(rule)
+    read = table.reader(3)
+    values = [read(code) for code in range(4 ** 3)]
+    evaluated = sum(calls.values())
+    full = table.reader(3)
+    assert type(full) is not type(read)  # the slot list's own lookup
+    assert [full(code) for code in range(4 ** 3)] == values
+    assert sum(calls.values()) == evaluated == 4 ** 3
