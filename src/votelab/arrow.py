@@ -655,20 +655,20 @@ def arrow_search(n: int = 2, alternatives: tuple[str, ...] = ("a", "b", "c")) ->
     for x in range(3 * size):  # monotone: one voter's stance up one step
         for step in (3 ** v for v in range(n)):
             if x // step % 3 < 2:
-                core.post(watch, (x, x + step), _MONOTONE)
+                core.post(watch, (x, x + step), core.listed(_MONOTONE, 3))
     # each profile's three social stances are one weak order's
     triples = tuple(tuple(row[p] + 1 for p in pairs) for row in domain.stances)
     # per pair: each profile's stance vector code
     keys = [bytes(map(vector_code.__getitem__, domain.voter_stances[p])) for p in pairs]
     for s_ab, s_bc, s_ac in zip(*keys):
-        core.post(watch, (s_ab, size + s_bc, 2 * size + s_ac), triples)
+        core.post(watch, (s_ab, size + s_bc, 2 * size + s_ac), core.listed(triples, 3))
     masks = ([1] + [7] * (size - 2) + [4]) * 3  # non-imposition: f(-1...) = -1, f(+1...) = +1
     # 9*(ab+1) + 3*(bc+1) + (ac+1) -> order index; 255, no order's, elsewhere
     order_at = bytearray(b"\xff" * 256)
     for i, (ab, bc, ac) in enumerate(triples):
         order_at[9 * ab + 3 * bc + ac] = i
     found = set()  # each solution's social order index on every profile
-    for m in core.solutions(masks, watch):
+    for m in core.solutions(masks, watch, 3):
         # per pair, each profile's social stance + 1, times 9, 3 or 1, by
         # translating its stance vector code; the three are added as
         # big-endian integers, byte by byte since no byte's sum exceeds 26

@@ -229,7 +229,7 @@ def family_from_json(doc: dict) -> TabulatedFamily:
         table = {tuple(counts): value for counts, value in doc["entries"]}
     except (KeyError, TypeError, ValueError) as exc:
         raise RuleDomainError(f"malformed tabulated family document: {exc}") from exc
-    return TabulatedFamily(alphabet, horizon, table)
+    return TabulatedFamily.from_table(alphabet, horizon, table)
 
 
 def load_family_file(path: str) -> TabulatedFamily:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Container, Iterable, Iterator, KeysView, Mapping, Sequence
+from typing import Container, Iterable, Iterator, Sequence
 
 
 class VoteLabError(Exception):
@@ -261,12 +261,6 @@ def profile_budget(alphabet: Alphabet, n_max: int, sizes: range) -> int:
     return total
 
 
-def profiles_up_to(alphabet: Alphabet, n_max: int) -> Iterator[Profile]:
-    """All profiles with at most ``n_max`` ballots, by size then lexicographic."""
-    for size in range(n_max + 1):
-        yield from profiles_of_size(alphabet, size)
-
-
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """Every tuple of ``parts`` >= 1 nonnegative counts summing to ``total``, lexicographic."""
     if parts == 1:
@@ -287,18 +281,16 @@ def signatures_up_to(alphabet: Alphabet, horizon: int) -> tuple[CountSignature, 
 
 
 @functools.lru_cache(maxsize=None)
-def canonical_keys(alphabet: Alphabet, horizon: int) -> KeysView:
-    """The counts of :func:`signatures_up_to` in order, as the keys of a dict:
-    an ordered set that :func:`table_values` matches a table against at once."""
-    return dict.fromkeys(sig.counts for sig in signatures_up_to(alphabet, horizon)).keys()
+def signature_positions(alphabet: Alphabet, horizon: int) -> dict[tuple[int, ...], int]:
+    """Each count tuple of :func:`signatures_up_to` with its position there:
+    where a table over the alphabet keeps that signature's value."""
+    return {sig.counts: i for i, sig in enumerate(signatures_up_to(alphabet, horizon))}
 
 
-def table_values(table: Mapping, keys: KeysView, allowed: Container) -> tuple:
-    """The table's values in the key order of ``keys``; ValueError unless the
-    table holds exactly those keys and every value is in ``allowed``."""
-    if len(table) != len(keys) or not table.keys() >= keys:
-        raise ValueError("table must cover exactly the canonical keys of its domain")
-    values = tuple(map(table.__getitem__, keys))
+def check_values(values: tuple, size: int, allowed: Container) -> None:
+    """ValueError unless ``values`` is a tuple of ``size`` values, each in ``allowed``."""
+    if not isinstance(values, tuple) or len(values) != size:
+        raise ValueError(f"table must be a tuple of {size} values, one per canonical key")
     try:
         valid = all(value in allowed for value in set(values))
     except TypeError:  # an unhashable value: the loop below names the first bad one
@@ -306,36 +298,52 @@ def table_values(table: Mapping, keys: KeysView, allowed: Container) -> tuple:
     for value in () if valid else values:
         if value not in allowed:
             raise ValueError(f"table value {value!r} not in {allowed}")
-    return values
 
 
 # --- constraint propagation over value masks ------------------------------------
-# A variable's domain is a mask over at most three values (bits 0-2).  ``post``
-# files a constraint as one revision row per variable, watched by each of the
-# others: (the variable, the others, the mask of its values supported under
-# every packing of the others' masks, 3 bits each, first other most significant).
+# A variable's domain is a mask over the ``width`` values of its search (bits 0
+# to width - 1).  ``post`` files a constraint as one revision row per variable,
+# watched by each of the others: (the variable, the others, the mask of its
+# values supported under every packing of the others' masks, ``width`` bits
+# each, first other most significant).
 
 Watch = list[list[tuple[int, tuple[int, ...], tuple[int, ...]]]]
+Supports = tuple[tuple[int, ...], ...]
 
 
 @functools.lru_cache(maxsize=None)
-def _supports(allowed: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+def listed(allowed: tuple[tuple[int, ...], ...], width: int) -> Supports:
+    """The supports of "the variables take one of the ``allowed`` tuples of values"."""
     return tuple(
         tuple(sum({1 << t[pos] for t in allowed
                    if all(m >> b & 1 for m, b in zip(others, t[:pos] + t[pos + 1:]))})
-              for others in itertools.product(range(8), repeat=len(allowed[0]) - 1))
+              for others in itertools.product(range(1 << width), repeat=len(allowed[0]) - 1))
         for pos in range(len(allowed[0])))
 
 
-def post(watch: Watch, variables: tuple[int, ...], allowed: tuple[tuple[int, ...], ...]) -> None:
-    """Constrain ``variables`` to one of the ``allowed`` tuples of value bits."""
-    for pos, (x, support) in enumerate(zip(variables, _supports(allowed))):
+@functools.lru_cache(maxsize=None)
+def not_all(value: int, arity: int, width: int) -> Supports:
+    """The supports of "not every one of the ``arity`` variables takes ``value``",
+    in closed form: a variable may take it only while another can still take
+    something else."""
+    full = (1 << width) - 1
+    other = full & ~(1 << value)
+    some_other = sum(other << width * i for i in range(arity - 1))
+    support = tuple(full if key & some_other else other
+                    for key in range(1 << width * (arity - 1)))
+    return (support,) * arity
+
+
+def post(watch: Watch, variables: tuple[int, ...], supports: Supports) -> None:
+    """File a constraint on ``variables``, given by its ``supports``
+    (:func:`listed` or :func:`not_all`), one per variable in order."""
+    for pos, (x, support) in enumerate(zip(variables, supports)):
         others = variables[:pos] + variables[pos + 1:]
         for y in others:
             watch[y].append((x, others, support))
 
 
-def propagate(masks: list[int], watch: Watch, changed: Iterable[int]) -> bool:
+def propagate(masks: list[int], watch: Watch, width: int, changed: Iterable[int]) -> bool:
     """Narrow ``masks`` in place until every value left has support in every
     constraint on its variable; False as soon as some mask is empty."""
     stack = list(changed)
@@ -343,7 +351,7 @@ def propagate(masks: list[int], watch: Watch, changed: Iterable[int]) -> bool:
         for x, others, support in watch[stack.pop()]:
             key = 0
             for y in others:
-                key = key << 3 | masks[y]
+                key = key << width | masks[y]
             narrowed = masks[x] & support[key]
             if narrowed != masks[x]:
                 if not narrowed:
@@ -353,17 +361,17 @@ def propagate(masks: list[int], watch: Watch, changed: Iterable[int]) -> bool:
     return True
 
 
-def solutions(masks: list[int], watch: Watch,
+def solutions(masks: list[int], watch: Watch, width: int,
               changed: Iterable[int] | None = None) -> Iterator[list[int]]:
     """Every assignment the constraints allow, as one-bit masks: propagate from
     the ``changed`` variables (all by default) to a fixpoint, then branch on
-    the first variable left open."""
-    if not propagate(masks, watch, range(len(masks)) if changed is None else changed):
+    the first variable left open, its values in increasing order."""
+    if not propagate(masks, watch, width, range(len(masks)) if changed is None else changed):
         return
     x = next((x for x, m in enumerate(masks) if m & m - 1), None)
     if x is None:
         yield masks
         return
-    for bit in (1, 2, 4):
-        if masks[x] & bit:
-            yield from solutions(masks[:x] + [bit] + masks[x + 1:], watch, (x,))
+    for value in range(width):
+        if masks[x] >> value & 1:
+            yield from solutions(masks[:x] + [1 << value] + masks[x + 1:], watch, width, (x,))

@@ -1,8 +1,9 @@
 """Exhaustive enumeration of rule families satisfying axiom sets, and the
 conclusiveness order among rules with maximality checks.
 
-Both enumerators are backtrackers over canonical domains (count triples for
-the two-option setting, count signatures for the general one) and emit
+Both enumerators pose their axioms as constraints for the one search core,
+:func:`core.solutions`, over canonical domains (count triples for the
+two-option setting, count signatures for the general one), and emit
 canonically sorted, deterministic family sets.  Enumerator output is meant to
 be cross-checked against the raw-profile checkers in :mod:`votelab.axioms`,
 which are implemented independently.
@@ -10,7 +11,8 @@ which are implemented independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 from .core import (
     Alphabet,
@@ -18,11 +20,16 @@ from .core import (
     Profile,
     RuleDomainError,
     VoteLabError,
-    canonical_keys,
+    Watch,
+    check_values,
     compositions,
+    listed,
+    not_all,
+    post,
     profile_budget,
+    signature_positions,
     signatures_up_to,
-    table_values,
+    solutions,
 )
 from .rules import FunctionRule, RuleFamily, TabulatedFamily, pure_majority_table
 from . import axioms
@@ -41,38 +48,40 @@ MAX_HORIZON = 8
 class MayFunctionTable:
     """Group decision function for exactly n voters, on ballot-count triples.
 
-    Keys are (count of -1, count of 0, count of 1) with the counts summing to
-    n; symmetry holds structurally because the domain forgets voter order.
+    ``values`` holds the decision at each (count of -1, count of 0, count of 1)
+    summing to n, in the order of ``compositions(n, 3)``; symmetry holds
+    structurally because the domain forgets voter order.
     """
 
     n: int
-    table: dict[tuple[int, int, int], int]
-    _values: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        keys = dict.fromkeys(compositions(self.n, 3)).keys()
-        object.__setattr__(self, "_values", table_values(self.table, keys, MAY_VALUES))
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 0:
+            raise ValueError(f"voter count must be a non-negative int, got {self.n!r}")
+        check_values(self.values, math.comb(self.n + 2, 2), MAY_VALUES)
 
     def value_tuple(self) -> tuple[int, ...]:
-        return self._values
+        return self.values
 
     def as_rule(self) -> RuleFamily:
         alphabet = Alphabet.may()
+        position = {t: i for i, t in enumerate(compositions(self.n, 3))}
 
         def run(profile: Profile) -> str:
             if len(profile) != self.n:
                 raise VoteLabError(
                     f"table is for exactly {self.n} voters, got {len(profile)}"
                 )
-            return str(self.table[tuple(map(profile.ballots.count, alphabet.alternatives))])
+            counts = tuple(map(profile.ballots.count, alphabet.alternatives))
+            return str(self.values[position[counts]])
 
-        return FunctionRule(alphabet, run, f"may-table:n{self.n}:{self.value_tuple()}")
+        return FunctionRule(alphabet, run, f"may-table:n{self.n}:{self.values}")
 
     @staticmethod
     def sign_table(n: int) -> "MayFunctionTable":
         """The majority-by-sign rule: compare the +1 and -1 counts."""
-        table = {(m, z, p): (p > m) - (p < m) for m, z, p in compositions(n, 3)}
-        return MayFunctionTable(n, table)
+        return MayFunctionTable(n, tuple((p > m) - (p < m) for m, z, p in compositions(n, 3)))
 
 
 def _may_moves(n: int, semantics: str) -> list[tuple[tuple[int, int, int], tuple[int, int, int], int]]:
@@ -97,62 +106,38 @@ def _may_moves(n: int, semantics: str) -> list[tuple[tuple[int, int, int], tuple
     return moves
 
 
+# Value v of a May table is value v + 1 of the search.  Negation mirrors the
+# value; a move in ``direction`` from a source valued 0 or ``direction`` keeps
+# the target at ``direction``.
+_MIRROR = ((0, 2), (1, 1), (2, 0))
+_RESPONSIVE = {d: tuple((a, b) for a in range(3) for b in range(3)
+                        if a - 1 not in (0, d) or b - 1 == d) for d in (-1, 1)}
+
+
 def enumerate_may_functions(n: int, semantics: str = "in_favor") -> tuple[MayFunctionTable, ...]:
     """All n-voter tables satisfying symmetry, neutrality and positive
     responsiveness under the chosen responsiveness semantics.
 
     Symmetry is structural (count-triple domain).  Neutrality pins the
-    self-negating triples to 0 and mirrors the rest, so the search branches
-    only on the positive side; responsiveness constraints prune as soon as
-    both endpoints of a move are determined.  Every emitted table is
-    re-checked against the raw-profile checkers.
+    self-negating triples to 0 and ties every other triple to its mirror, and
+    each single-voter move is one responsiveness constraint between its two
+    triples; :func:`core.solutions` lists the tables these allow.  Every
+    emitted table is re-checked against the raw-profile checkers.  A voter
+    count that is not an int in 1..MAY_MAX_VOTERS raises BoundError.
     """
-    if not 1 <= n <= MAY_MAX_VOTERS:
-        raise BoundError(f"voter count {n} outside enumeration bound 1..{MAY_MAX_VOTERS}")
+    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAY_MAX_VOTERS:
+        raise BoundError(f"voter count {n!r} outside enumeration bound 1..{MAY_MAX_VOTERS}")
     triples = list(compositions(n, 3))
-    mirror = {t: (t[2], t[1], t[0]) for t in triples}
-    free = [t for t in triples if t[2] > t[0]]  # positive side; rest follows
-    moves = _may_moves(n, semantics)
-
-    assignment: dict[tuple[int, int, int], int] = {
-        t: 0 for t in triples if t[0] == t[2]
-    }
-    found: list[MayFunctionTable] = []
-
-    def consistent(t: tuple[int, int, int]) -> bool:
-        for src, dst, direction in moves:
-            if src != t and dst != t:
-                continue
-            if src not in assignment or dst not in assignment:
-                continue
-            if assignment[src] in (0, direction) and assignment[dst] != direction:
-                return False
-        return True
-
-    def assign(t: tuple[int, int, int], value: int) -> bool:
-        assignment[t] = value
-        assignment[mirror[t]] = -value
-        if consistent(t) and consistent(mirror[t]):
-            return True
-        return False
-
-    def undo(t: tuple[int, int, int]) -> None:
-        del assignment[t]
-        if mirror[t] in assignment:
-            del assignment[mirror[t]]
-
-    def backtrack(idx: int) -> None:
-        if idx == len(free):
-            found.append(MayFunctionTable(n, dict(assignment)))
-            return
-        t = free[idx]
-        for value in MAY_VALUES:
-            if assign(t, value):
-                backtrack(idx + 1)
-            undo(t)
-
-    backtrack(0)
-    found.sort(key=MayFunctionTable.value_tuple)
+    position = {t: i for i, t in enumerate(triples)}
+    watch: Watch = [[] for _ in triples]
+    for t in triples:
+        if t[2] > t[0]:
+            post(watch, (position[t], position[t[::-1]]), listed(_MIRROR, 3))
+    for src, dst, direction in _may_moves(n, semantics):
+        post(watch, (position[src], position[dst]), listed(_RESPONSIVE[direction], 3))
+    masks = [2 if t[0] == t[2] else 7 for t in triples]
+    found = sorted((MayFunctionTable(n, tuple(m.bit_length() - 2 for m in solution))
+                    for solution in solutions(masks, watch, 3)), key=MayFunctionTable.value_tuple)
     for table in found:
         _cross_check_may(table, semantics)
     return tuple(found)
@@ -202,72 +187,51 @@ def enumerate_c_families(alphabet: Alphabet, horizon: int, with_c6: bool = False
     stays within the horizon.  With ``with_c6``, every tie-valued signature
     with total <= horizon - 1 must have a conclusive one-step extension.
 
-    Signatures are visited in nondecreasing total order so the consistency
-    constraint propagates forward only and prunes early.  A signature's C6 test
-    runs as soon as the last of its one-step extensions is assigned, so C6
-    prunes during the search too.  Fewer than 2 alternatives raise
-    RuleDomainError; more than 3, or a horizon outside 0..MAX_HORIZON, BoundError.
+    Each signature is one variable of :func:`core.solutions`, over the tie
+    symbol and the k alternatives.  Neutrality narrows each orbit
+    representative's values and ties every other signature to its
+    representative, consistency is one constraint per signature and
+    alternative, and C6 one "not all tie" constraint over a signature and its
+    extensions, so every axiom prunes as soon as its cells narrow.  Fewer than
+    2 alternatives raise RuleDomainError; more than 3, or a horizon that is
+    not an int in 0..MAX_HORIZON, BoundError.
     """
     k = len(alphabet.non_bot)
     if k < 2:
         raise RuleDomainError("family enumeration needs at least 2 non-tie alternatives")
     if k > 3:
         raise BoundError("family enumeration supports 2 or 3 non-tie alternatives")
-    if not 0 <= horizon <= MAX_HORIZON:
-        raise BoundError(f"horizon {horizon} outside bound 0..{MAX_HORIZON}")
+    if isinstance(horizon, bool) or not isinstance(horizon, int) \
+            or not 0 <= horizon <= MAX_HORIZON:
+        raise BoundError(f"horizon {horizon!r} outside bound 0..{MAX_HORIZON}")
 
-    sigs = list(canonical_keys(alphabet, horizon))
-    position = {s: i for i, s in enumerate(sigs)}
-    non_bot = alphabet.non_bot
-    bot = alphabet.bot
-
-    # plan[i]: the (symbol, predecessor position) pairs that can force position
-    # i; an orbit representative's allowed values (the swaps fixing it fix them),
-    # or else its representative's position and value relabelling; C6 checks due
-    plan = []
-    for s in sigs:
-        forcers = [(sym, position[s[:j] + (s[j] - 1,) + s[j + 1:]])
-                   for j, sym in enumerate(non_bot) if s[j]]
+    # value 0 is the tie symbol, value j + 1 the alternative non_bot[j]; a
+    # signature valued j + 1 forces its extension by one j ballot to j + 1
+    width = k + 1
+    forward = [listed(tuple((a, b) for a in range(width) for b in range(width)
+                            if a != j + 1 or b == j + 1), width) for j in range(k)]
+    position = signature_positions(alphabet, horizon)
+    watch: Watch = [[] for _ in position]
+    masks = []
+    for i, s in enumerate(position):
         rep = tuple(sorted(s))  # the least of its orbit
-        if rep == s:
-            allowed = [bot] + [v for j, v in enumerate(non_bot) if s.count(s[j]) == 1]
-            plan.append((forcers, allowed, None, None, []))
+        if rep == s:  # the swaps fixing s fix its value
+            masks.append(1 + sum(2 << j for j in range(k) if s.count(s[j]) == 1))
         else:
             perm = sorted(range(k), key=s.__getitem__)  # sends rep's coordinate j to perm[j]
-            relabel = {bot: bot, **{v: non_bot[perm[j]] for j, v in enumerate(non_bot)}}
-            plan.append((forcers, None, position[rep], relabel, []))
-    for i, s in enumerate(sigs):
-        if with_c6 and sum(s) < horizon:
-            ext = [position[s[:j] + (s[j] + 1,) + s[j + 1:]] for j in range(k)]
-            plan[max(ext)][4].append((i, ext))
+            relabel = ((0, 0),) + tuple((j + 1, perm[j] + 1) for j in range(k))
+            post(watch, (position[rep], i), listed(relabel, width))
+            masks.append((1 << width) - 1)
+        if sum(s) < horizon:
+            ext = tuple(position[s[:j] + (s[j] + 1,) + s[j + 1:]] for j in range(k))
+            for supports, e in zip(forward, ext):
+                post(watch, (i, e), supports)
+            if with_c6:
+                post(watch, (i,) + ext, not_all(0, k + 1, width))
 
-    assignment: list[str | None] = [None] * len(sigs)
-    families: list[TabulatedFamily] = []
-
-    # each position reads only earlier ones, so a stale later value is never read
-    def backtrack(idx: int) -> None:
-        if idx == len(sigs):
-            families.append(TabulatedFamily(alphabet, horizon, dict(zip(sigs, assignment))))
-            return
-        forcers, candidates, rep_pos, relabel, due = plan[idx]
-        forced = None
-        for sym, pred in forcers:
-            if assignment[pred] == sym:
-                if forced is not None:
-                    return  # two predecessors force different values
-                forced = sym
-        if relabel is not None:
-            candidates = [relabel[assignment[rep_pos]]]
-        if forced is not None:
-            candidates = [forced] if forced in candidates else []
-        for value in candidates:
-            assignment[idx] = value
-            if not due or not any(assignment[i] == bot and all(assignment[e] == bot for e in ext)
-                                  for i, ext in due):
-                backtrack(idx + 1)
-
-    backtrack(0)
-    families.sort(key=TabulatedFamily.value_tuple)
+    symbol = {1 << v: x for v, x in enumerate((alphabet.bot,) + alphabet.non_bot)}
+    families = sorted((TabulatedFamily(alphabet, horizon, tuple(map(symbol.__getitem__, m)))
+                       for m in solutions(masks, watch, width)), key=TabulatedFamily.value_tuple)
     return FamilySet(alphabet, horizon, tuple(families))
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
@@ -20,10 +20,10 @@ from .core import (
     HorizonError,
     Profile,
     RuleDomainError,
-    canonical_keys,
+    check_values,
     plurality_winner,
+    signature_positions,
     signatures_up_to,
-    table_values,
 )
 
 
@@ -54,45 +54,56 @@ def _winner(alphabet: Alphabet, counts: tuple[int, ...]) -> str:
     return winner if winner is not None else alphabet.bot
 
 
+def _domain_size(alphabet: Alphabet, horizon: int) -> int:
+    """The number of signatures with total at most ``horizon``; ValueError,
+    before any key is built, unless the horizon is a non-negative int."""
+    if isinstance(horizon, bool) or not isinstance(horizon, int) or horizon < 0:
+        raise ValueError(f"family horizon must be a non-negative int, got {horizon!r}")
+    return math.comb(horizon + len(alphabet.non_bot), len(alphabet.non_bot))
+
+
 @dataclass(frozen=True)
 class TabulatedFamily:
     """Explicit signature -> alternative table, defined up to a horizon.
 
-    The table must cover every signature with total <= horizon; values are the
-    tie symbol or a non-tie alternative.  Evaluating a profile whose signature
-    total exceeds the horizon is a hard error, never a silent default.
+    ``values`` holds one value per signature with total <= horizon, in the
+    canonical order of :func:`signatures_up_to`; each is the tie symbol or a
+    non-tie alternative.  Evaluating a profile whose signature total exceeds
+    the horizon is a hard error, never a silent default.
     """
 
     alphabet: Alphabet
     horizon: int
-    table: Mapping[tuple[int, ...], str]
-    _values: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    values: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        # checked before any key is built, so a bad horizon costs nothing
-        if isinstance(self.horizon, bool) or not isinstance(self.horizon, int) \
-                or self.horizon < 0:
-            raise ValueError(f"family horizon must be a non-negative int, got {self.horizon!r}")
-        if len(self.table) != math.comb(self.horizon + len(self.alphabet.non_bot),
-                                        len(self.alphabet.non_bot)):
+        check_values(self.values, _domain_size(self.alphabet, self.horizon), self.alphabet)
+
+    @staticmethod
+    def from_table(alphabet: Alphabet, horizon: int,
+                   table: Mapping[tuple[int, ...], str]) -> "TabulatedFamily":
+        """The family of a signature counts -> value mapping, such as a family
+        file's entries; ValueError unless it holds exactly the canonical keys."""
+        # the size check comes first, so a bad horizon builds no key
+        if len(table) != _domain_size(alphabet, horizon) \
+                or not table.keys() >= signature_positions(alphabet, horizon).keys():
             raise ValueError("table must cover exactly the canonical keys of its domain")
-        keys = canonical_keys(self.alphabet, self.horizon)
-        object.__setattr__(self, "_values", table_values(self.table, keys, self.alphabet))
+        keys = signature_positions(alphabet, horizon)
+        return TabulatedFamily(alphabet, horizon, tuple(map(table.__getitem__, keys)))
 
     def value_tuple(self) -> tuple[str, ...]:
         """Values in canonical signature order; the family's identity for sorting."""
-        return self._values
+        return self.values
 
     def content_id(self) -> str:
-        payload = "|".join(self.value_tuple()).encode()
+        payload = "|".join(self.values).encode()
         return hashlib.sha256(payload).hexdigest()[:12]
 
 
 def pure_majority_table(alphabet: Alphabet, horizon: int) -> TabulatedFamily:
     """Pure majority restricted to signatures within the horizon."""
-    table = {sig.counts: _winner(alphabet, sig.counts)
-             for sig in signatures_up_to(alphabet, horizon)}
-    return TabulatedFamily(alphabet, horizon, table)
+    return TabulatedFamily(alphabet, horizon, tuple(
+        _winner(alphabet, sig.counts) for sig in signatures_up_to(alphabet, horizon)))
 
 
 class PureMajorityRule(RuleFamily):
@@ -199,6 +210,8 @@ class TabulatedRule(RuleFamily):
             descriptor = f"tabulated:sha256:{family.content_id()}"
         super().__init__(family.alphabet, descriptor)
         self.family = family
+        self._values = family.values
+        self._position = signature_positions(family.alphabet, family.horizon)
 
     def evaluate(self, profile: Profile) -> str:
         self._check_profile(profile)
@@ -208,7 +221,7 @@ class TabulatedRule(RuleFamily):
             raise HorizonError(
                 f"signature total {sum(counts)} exceeds family horizon {self.family.horizon}"
             )
-        return self.family.table[counts]
+        return self._values[self._position[counts]]
 
 
 class FunctionRule(RuleFamily):

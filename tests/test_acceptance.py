@@ -13,7 +13,6 @@ from votelab.core import (
     Alphabet,
     Profile,
     extend,
-    profiles_up_to,
     signatures_up_to,
     strict_plurality,
     tally,
@@ -59,6 +58,8 @@ from votelab.enumeration import (
     rule_leq,
 )
 from votelab.cli import main
+
+from helpers import profiles_up_to, table_of
 
 AB2 = Alphabet.make(2)
 
@@ -240,18 +241,17 @@ def test_criterion_07_replay_contradiction_chains():
             sig = counts if not flip else (counts[1], counts[0])
             wrong = "b" if not flip else "a"
             base = pure_majority_table(AB2, 6)
-            table = dict(base.table)
+            table = table_of(base)
             table[sig] = wrong
-            corrupted.append(
-                TabulatedRule(TabulatedFamily(AB2, 6, table), f"corrupt:{sig}->{wrong}")
-            )
+            corrupted.append(TabulatedRule(TabulatedFamily.from_table(AB2, 6, table),
+                                           f"corrupt:{sig}->{wrong}"))
     assert len(corrupted) >= 10
 
     ok = True
     for rule in corrupted:
         sig = next(
-            s for s in rule.family.table
-            if rule.family.table[s] != pure_majority_table(AB2, 6).table[s]
+            s for s, value in table_of(rule.family).items()
+            if value != table_of(pure_majority_table(AB2, 6))[s]
         )
         ballots = ("a",) * sig[0] + ("b",) * sig[1]
         profile = Profile(AB2, ballots)
@@ -316,8 +316,9 @@ def _restrict(family_set, horizon):
     sigs = [sig.counts for sig in signatures_up_to(family_set.alphabet, horizon)]
     restricted = {}
     for fam in family_set.families:
-        table = TabulatedFamily(family_set.alphabet, horizon,
-                                {s: fam.table[s] for s in sigs})
+        full = table_of(fam)
+        table = TabulatedFamily.from_table(family_set.alphabet, horizon,
+                                           {s: full[s] for s in sigs})
         restricted.setdefault(table.value_tuple(), table)
     return FamilySet(family_set.alphabet, horizon,
                      tuple(restricted[v] for v in sorted(restricted)))
@@ -389,7 +390,7 @@ def test_criterion_09_single_maximal_element():
     pm3 = pure_majority_table(ab3, 2)
     artifacts3 = {f.value_tuple() for f, _ in plurality_artifacts(fs3)}
     above_pm3 = [
-        f.value_tuple() in artifacts3 and f.table[(0, 1, 1)] == "a"
+        f.value_tuple() in artifacts3 and table_of(f)[(0, 1, 1)] == "a"
         and f.value_tuple() != pm3.value_tuple()
         and rule_leq(TabulatedRule(pm3), TabulatedRule(f), 2)[0]
         for f in maximal_elements(fs3)

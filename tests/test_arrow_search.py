@@ -108,36 +108,67 @@ def test_bounds_are_checked_before_any_table_is_built():
 
 # --- the propagator, against brute force ----------------------------------------------
 
-VALUES = (0, 1, 2)
-
 
 @st.composite
 def constraint_problems(draw):
-    size = draw(st.integers(2, 4))
-    masks = draw(st.lists(st.integers(1, 7), min_size=size, max_size=size))
+    """Masks over 3 or 4 values, with listed constraints over 2-3 variables and
+    "not all" constraints over 2-4."""
+    width = draw(st.sampled_from((3, 4)))
+    size = draw(st.integers(2, 5))
+    masks = draw(st.lists(st.integers(1, (1 << width) - 1), min_size=size, max_size=size))
     constraints = []
     for _ in range(draw(st.integers(0, 4))):
-        variables = tuple(draw(st.permutations(range(size)))[:draw(st.integers(2, 3))])
-        space = list(itertools.product(VALUES, repeat=len(variables)))
-        allowed = draw(st.lists(st.sampled_from(space), min_size=1, unique=True))
-        constraints.append((variables, tuple(allowed)))
-    return masks, constraints
+        order = draw(st.permutations(range(size)))
+        if draw(st.booleans()):
+            variables = tuple(order[:draw(st.integers(2, 3))])
+            space = list(itertools.product(range(width), repeat=len(variables)))
+            allowed = draw(st.lists(st.sampled_from(space), min_size=1, unique=True))
+            constraints.append(("listed", variables, tuple(allowed)))
+        else:
+            variables = tuple(order[:draw(st.integers(2, min(4, size)))])
+            constraints.append(("not_all", variables, draw(st.integers(0, width - 1))))
+    return width, masks, constraints
+
+
+def holds(kind, values, arg):
+    return values in arg if kind == "listed" else any(v != arg for v in values)
 
 
 @settings(max_examples=200, deadline=None)
 @given(constraint_problems())
 def test_solutions_match_brute_force(problem):
-    masks, constraints = problem
+    width, masks, constraints = problem
     watch = [[] for _ in masks]
-    for variables, allowed in constraints:
-        core.post(watch, variables, allowed)
+    for kind, variables, arg in constraints:
+        supports = (core.listed(arg, width) if kind == "listed"
+                    else core.not_all(arg, len(variables), width))
+        core.post(watch, variables, supports)
     got = sorted(tuple(m.bit_length() - 1 for m in solution)
-                 for solution in core.solutions(list(masks), watch))
-    want = [values for values in itertools.product(VALUES, repeat=len(masks))
+                 for solution in core.solutions(list(masks), watch, width))
+    want = [values for values in itertools.product(range(width), repeat=len(masks))
             if all(m >> v & 1 for m, v in zip(masks, values))
-            and all(tuple(values[x] for x in variables) in allowed
-                    for variables, allowed in constraints)]
+            and all(holds(kind, tuple(values[x] for x in variables), arg)
+                    for kind, variables, arg in constraints)]
     assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_not_all_supports_match_brute_force(data):
+    width = data.draw(st.sampled_from((3, 4)))
+    arity = data.draw(st.integers(2, 4))
+    value = data.draw(st.integers(0, width - 1))
+    others = data.draw(st.lists(st.integers(1, (1 << width) - 1),
+                                min_size=arity - 1, max_size=arity - 1))
+    key = 0
+    for m in others:
+        key = key << width | m
+    choices = [[v for v in range(width) if m >> v & 1] for m in others]
+    # the constraint is symmetric, so every variable has the same support
+    want = sum(1 << v for v in range(width)
+               if any(v != value or any(o != value for o in rest)
+                      for rest in itertools.product(*choices)))
+    assert [support[key] for support in core.not_all(value, arity, width)] == [want] * arity
 
 
 # --- n = 3: pins and certificates ---------------------------------------------------

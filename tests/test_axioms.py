@@ -13,7 +13,6 @@ from votelab.core import (
     extend,
     profile_budget,
     profiles_of_size,
-    profiles_up_to,
     signature,
 )
 from votelab.rules import (
@@ -42,6 +41,8 @@ from votelab.axioms import (
     check_unavoidable_ties,
     replay_main_proof,
 )
+
+from helpers import profiles_up_to, table_of
 
 AB2 = Alphabet.make(2)
 AB3 = Alphabet.make(3)
@@ -479,9 +480,10 @@ class TestReplay:
 
     def _corrupt(self, counts, value, horizon=6):
         fam = pure_majority_table(AB2, horizon)
-        table = dict(fam.table)
+        table = table_of(fam)
         table[counts] = value
-        return TabulatedRule(TabulatedFamily(AB2, horizon, table), f"corrupt:{counts}->{value}")
+        return TabulatedRule(TabulatedFamily.from_table(AB2, horizon, table),
+                             f"corrupt:{counts}->{value}")
 
     def test_chain_exposes_consistency_break(self):
         rule = self._corrupt((2, 1), "b")
@@ -502,10 +504,10 @@ class TestReplay:
         # keep the corruption consistent through the extension so the
         # contradiction must surface at the relabeling stage
         fam = pure_majority_table(AB2, 6)
-        table = dict(fam.table)
+        table = table_of(fam)
         table[(2, 1)] = "b"
         table[(2, 2)] = "b"
-        rule = TabulatedRule(TabulatedFamily(AB2, 6, table), "corrupt:c2")
+        rule = TabulatedRule(TabulatedFamily.from_table(AB2, 6, table), "corrupt:c2")
         res = replay_main_proof(rule, prof("a", "a", "b"))
         assert res.kind == "contradiction"
         assert "C5" not in res.violated_axioms
@@ -513,9 +515,9 @@ class TestReplay:
 
     def test_horizon_exceeded_is_explicit(self):
         fam = pure_majority_table(AB2, 4)
-        table = dict(fam.table)
+        table = table_of(fam)
         table[(4, 0)] = "b"
-        rule = TabulatedRule(TabulatedFamily(AB2, 4, table), "corrupt:boundary")
+        rule = TabulatedRule(TabulatedFamily.from_table(AB2, 4, table), "corrupt:boundary")
         from votelab.core import HorizonError
 
         with pytest.raises(HorizonError):

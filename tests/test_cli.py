@@ -620,7 +620,7 @@ def test_a_c2_witness_is_reached_and_reparses(tmp_path):
     # anonymous and consistent, but not neutral
     table = {(a, b): "a" if a and a >= b else "b" if b else "_"
              for a in range(7) for b in range(7 - a)}
-    family = TabulatedFamily(AB2, 6, table)
+    family = TabulatedFamily.from_table(AB2, 6, table)
     name = write(tmp_path, "a-wins-ties.json", json.dumps(family_json(family)))
     out = str(tmp_path / "report.json")
     argv = ["audit", "--rule", f"tabulated:{name}", "--max-voters", "6", "--axioms", "C2-C5"]

@@ -17,12 +17,13 @@ from votelab.core import (
     compositions,
     extend,
     profile_budget,
-    profiles_up_to,
     signature,
     signatures_up_to,
     strict_plurality,
     tally,
 )
+
+from helpers import profiles_up_to
 
 AB2 = Alphabet.make(2)
 AB3 = Alphabet.make(3)

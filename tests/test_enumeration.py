@@ -12,7 +12,7 @@ from votelab.rules import (
     TabulatedRule,
     pure_majority_table,
 )
-from votelab import axioms
+from votelab import axioms, enumeration
 from votelab.enumeration import (
     FamilySet,
     MayFunctionTable,
@@ -24,6 +24,10 @@ from votelab.enumeration import (
 )
 
 AB2 = Alphabet.make(2)
+
+
+def no_work(*args):
+    raise AssertionError("the search started before its bound was checked")
 
 
 # --- May tables -------------------------------------------------------------
@@ -102,6 +106,17 @@ class TestMayEnumeration:
     def test_bound_rejected(self):
         with pytest.raises(BoundError):
             enumerate_may_functions(9)
+
+    def test_a_bool_voter_count_is_refused_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "compositions", no_work)
+        with pytest.raises(BoundError):
+            enumerate_may_functions(True)
+
+    # each value tuple has the length the voter count would give
+    @pytest.mark.parametrize("n, values", [(-1, ()), (True, (1, 0, -1)), (2.0, (0,) * 6)])
+    def test_a_table_needs_a_non_negative_int_voter_count(self, n, values):
+        with pytest.raises(ValueError, match="voter count"):
+            MayFunctionTable(n, values)
 
     def test_table_rule_rejects_other_sizes(self):
         rule = MayFunctionTable.sign_table(2).as_rule()
@@ -235,6 +250,12 @@ class TestFamilyEnumeration:
         with pytest.raises(BoundError):
             enumerate_c_families(Alphabet.make(4), 3)
 
+    @pytest.mark.parametrize("horizon", [True, 2.0])
+    def test_a_horizon_that_is_not_an_int_is_refused_before_any_work(self, monkeypatch, horizon):
+        monkeypatch.setattr(enumeration, "signature_positions", no_work)
+        with pytest.raises(BoundError):
+            enumerate_c_families(AB2, horizon)
+
     def test_one_alternative_is_a_domain_error(self):
         with pytest.raises(RuleDomainError, match="at least 2 non-tie alternatives"):
             enumerate_c_families(Alphabet.make(1), 2)
@@ -291,9 +312,7 @@ class TestMaximalElements:
 
     def test_always_tie_is_dominated(self):
         pm = pure_majority_table(AB2, 3)
-        bot_table = TabulatedFamily(
-            AB2, 3, {s: AB2.bot for s in pm.table}
-        )
+        bot_table = TabulatedFamily(AB2, 3, (AB2.bot,) * len(pm.value_tuple()))
         families = tuple(sorted([pm, bot_table], key=TabulatedFamily.value_tuple))
         fs = FamilySet(AB2, 3, families)
         assert maximal_elements(fs) == (pm,)

@@ -36,7 +36,6 @@ from votelab.core import (
     Tally,
     VoteLabError,
     profile_budget,
-    profiles_up_to,
     strict_plurality,
     tally,
 )
@@ -50,6 +49,8 @@ from votelab.rules import (
     TabulatedRule,
     pure_majority_table,
 )
+
+from helpers import profiles_up_to, table_of
 
 AB2 = Alphabet.make(2)
 
@@ -65,23 +66,23 @@ def outcome(call, *args):
 # --- TabulatedRule against the free function it replaced --------------------------
 
 
-def old_tabulated_evaluate(family, profile):
+def old_tabulated_evaluate(table, horizon, profile):
     counts = Counter(profile.ballots)
     sig = tuple(counts[s] for s in profile.alphabet.non_bot)
-    if sum(sig) > family.horizon:
-        raise HorizonError(f"signature total {sum(sig)} exceeds family horizon {family.horizon}")
-    return family.table[sig]
+    if sum(sig) > horizon:
+        raise HorizonError(f"signature total {sum(sig)} exceeds family horizon {horizon}")
+    return table[sig]
 
 
 @pytest.mark.parametrize("k, horizon", [(2, 6), (3, 4)])
 def test_tabulated_rule_matches_the_old_lookup(k, horizon):
     alphabet = Alphabet.make(k)
     families = enumerate_c_families(alphabet, horizon).families
-    rules = [TabulatedRule(f) for f in families]
+    rules = [(TabulatedRule(f), table_of(f)) for f in families]
     compared = 0
     for p in profiles_up_to(alphabet, horizon + 1):
-        for rule in rules:
-            assert outcome(rule.evaluate, p) == outcome(old_tabulated_evaluate, rule.family, p)
+        for rule, table in rules:
+            assert outcome(rule.evaluate, p) == outcome(old_tabulated_evaluate, table, horizon, p)
             compared += 1
     assert compared == len(families) * sum((k + 1) ** s for s in range(horizon + 2))
 

@@ -1,5 +1,6 @@
-"""The family search runs from a precomputed plan and checks C6 while it
-assigns values, and ``maximal_elements`` compares one-hot bitmasks against the
+"""The family search poses every axiom as a constraint for the one search
+core, ``core.solutions``, C6 as a "not all tie" constraint over a signature and
+its extensions, and ``maximal_elements`` compares one-hot bitmasks against the
 maximal set found so far; here each is held to the code it replaced.
 
 ``old_enumerate_c_families`` is the backtracker that looked up forcing
@@ -20,6 +21,8 @@ from votelab import axioms
 from votelab.core import Alphabet, signatures_up_to
 from votelab.enumeration import FamilySet, enumerate_c_families, maximal_elements
 from votelab.rules import TabulatedFamily, TabulatedRule
+
+from helpers import table_of
 
 AB2 = Alphabet.make(2)
 
@@ -147,7 +150,7 @@ SEARCH_BOUNDS = [(2, h) for h in range(9)] + [(3, h) for h in range(6)]
 def test_c6_search_matches_the_leaf_filter(k, horizon):
     alphabet = Alphabet.make(k)
     kept = [f.value_tuple() for f in families(k, horizon).families
-            if old_passes_c6(f.table, alphabet, horizon)]
+            if old_passes_c6(table_of(f), alphabet, horizon)]
     assert [f.value_tuple() for f in families(k, horizon, True).families] == kept
 
 
@@ -171,8 +174,9 @@ def _restrict(family_set, horizon):
     sigs = [sig.counts for sig in signatures_up_to(family_set.alphabet, horizon)]
     restricted = {}
     for fam in family_set.families:
-        table = TabulatedFamily(family_set.alphabet, horizon,
-                                {s: fam.table[s] for s in sigs})
+        full = table_of(fam)
+        table = TabulatedFamily.from_table(family_set.alphabet, horizon,
+                                           {s: full[s] for s in sigs})
         restricted.setdefault(table.value_tuple(), table)
     return FamilySet(family_set.alphabet, horizon,
                      tuple(restricted[v] for v in sorted(restricted)))

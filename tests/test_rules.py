@@ -13,7 +13,6 @@ from votelab.core import (
     apply_alt_permutation,
     apply_voter_permutation,
     extend,
-    profiles_up_to,
     strict_plurality,
     tally,
 )
@@ -28,6 +27,8 @@ from votelab.rules import (
     TabulatedRule,
     pure_majority_table,
 )
+
+from helpers import profiles_up_to, table_of
 
 AB2 = Alphabet.make(2)
 MAY = Alphabet.may()
@@ -146,20 +147,41 @@ def bad_tables(table, key, foreign_key, foreign_value):
     ]
 
 
-FAMILY_CASES = bad_tables(pure_majority_table(AB2, 2).table, (1, 1), (3, 0), "z")
-MAY_CASES = bad_tables(MayFunctionTable.sign_table(2).table, (0, 1, 1), (1, 1, 1), 2)
+def bad_values(values, foreign_value):
+    """(case, values, error text) for each way a value tuple can miss its domain."""
+    size = "table must be a tuple of"
+    return [
+        ("missing value", values[:-1], size),
+        ("extra value", values + values[-1:], size),
+        ("a list, not a tuple", list(values), size),
+        ("value outside the alphabet", values[:-1] + (foreign_value,),
+         f"table value {foreign_value!r} not in"),
+        ("unhashable value", values[:-1] + ([values[-1]],), r"table value \["),
+    ]
+
+
+FAMILY_CASES = bad_tables(table_of(pure_majority_table(AB2, 2)), (1, 1), (3, 0), "z")
+FAMILY_VALUE_CASES = bad_values(pure_majority_table(AB2, 2).value_tuple(), "z")
+MAY_CASES = bad_values(MayFunctionTable.sign_table(2).value_tuple(), 2)
 
 
 @pytest.mark.parametrize("case, table, error", FAMILY_CASES, ids=[c[0] for c in FAMILY_CASES])
 def test_a_bad_family_table_raises_value_error(case, table, error):
     with pytest.raises(ValueError, match=error):
-        TabulatedFamily(AB2, 2, table)
+        TabulatedFamily.from_table(AB2, 2, table)
 
 
-@pytest.mark.parametrize("case, table, error", MAY_CASES, ids=[c[0] for c in MAY_CASES])
-def test_a_bad_may_table_raises_value_error(case, table, error):
+@pytest.mark.parametrize("case, values, error", FAMILY_VALUE_CASES,
+                         ids=[c[0] for c in FAMILY_VALUE_CASES])
+def test_a_bad_family_value_tuple_raises_value_error(case, values, error):
     with pytest.raises(ValueError, match=error):
-        MayFunctionTable(2, table)
+        TabulatedFamily(AB2, 2, values)
+
+
+@pytest.mark.parametrize("case, values, error", MAY_CASES, ids=[c[0] for c in MAY_CASES])
+def test_a_bad_may_table_raises_value_error(case, values, error):
+    with pytest.raises(ValueError, match=error):
+        MayFunctionTable(2, values)
 
 
 class TestTabulated:
@@ -175,37 +197,39 @@ class TestTabulated:
 
     def test_table_must_be_complete(self):
         fam = pure_majority_table(AB2, 2)
-        partial = dict(fam.table)
+        partial = table_of(fam)
         del partial[(1, 1)]
         with pytest.raises(ValueError):
-            TabulatedFamily(AB2, 2, partial)
-        extra = dict(fam.table)
+            TabulatedFamily.from_table(AB2, 2, partial)
+        extra = table_of(fam)
         extra[(3, 0)] = "a"  # beyond the horizon
         with pytest.raises(ValueError):
-            TabulatedFamily(AB2, 2, extra)
+            TabulatedFamily.from_table(AB2, 2, extra)
         swapped = dict(partial)
         swapped[(1, 1, 0)] = "_"  # same length, but a key of the wrong length
         with pytest.raises(ValueError):
-            TabulatedFamily(AB2, 2, swapped)
+            TabulatedFamily.from_table(AB2, 2, swapped)
 
     def test_table_values_must_be_in_alphabet(self):
         fam = pure_majority_table(AB2, 2)
-        bad = dict(fam.table)
+        bad = table_of(fam)
         bad[(1, 1)] = "z"
         with pytest.raises(ValueError):
-            TabulatedFamily(AB2, 2, bad)
+            TabulatedFamily.from_table(AB2, 2, bad)
 
     @pytest.mark.parametrize("horizon", [-1, 0.9, 2.0, True, "2", 10 ** 12])
     def test_horizon_is_checked_before_any_key_is_built(self, monkeypatch, horizon):
-        table = dict(pure_majority_table(AB2, 2).table)
+        fam = pure_majority_table(AB2, 2)
 
         def no_keys(*args):
             raise AssertionError("signature keys built before the horizon was checked")
 
         monkeypatch.setattr(rules, "signatures_up_to", no_keys)
-        monkeypatch.setattr(rules, "canonical_keys", no_keys)
+        monkeypatch.setattr(rules, "signature_positions", no_keys)
         with pytest.raises(ValueError):
-            TabulatedFamily(AB2, horizon, table)
+            TabulatedFamily.from_table(AB2, horizon, table_of(fam))
+        with pytest.raises(ValueError):
+            TabulatedFamily(AB2, horizon, fam.value_tuple())
 
     def test_rule_wrapper_descriptor_is_stable(self):
         fam = pure_majority_table(AB2, 4)
