@@ -73,17 +73,21 @@ class WeakOrder:
     def alternatives(self) -> frozenset[str]:
         return frozenset(s for block in self.blocks for s in block)
 
+    @functools.cached_property
+    def _levels(self) -> dict[str, int]:
+        """Each alternative's block index, built on first use."""
+        return {s: i for i, block in enumerate(self.blocks) for s in block}
+
     def level(self, symbol: str) -> int:
-        for i, block in enumerate(self.blocks):
-            if symbol in block:
-                return i
-        raise KeyError(symbol)
+        """The index of the symbol's block; KeyError(symbol) outside the order."""
+        return self._levels[symbol]
 
     def stance(self, a: str, b: str) -> Stance:
         """The order's stance on the pair: +1 a above b, 0 tied, -1 below."""
         if a == b:
             raise ValueError("a stance needs two distinct alternatives")
-        la, lb = self.level(a), self.level(b)
+        levels = self._levels
+        la, lb = levels[a], levels[b]
         return (la < lb) - (la > lb)
 
     def weakly_prefers(self, a: str, b: str) -> bool:

@@ -12,12 +12,14 @@ Code order is the order of ``profiles_of_size``, so the first failing code is
 the minimal witness.  A slot is evaluated when a checker first reads it and
 then kept, an evaluation that raised included: :func:`audit` hands one table
 to every selected checker, so it evaluates each profile at most once, and a
-checker on its own evaluates only the profiles it reads.  Checkers read the
-slots in the order in which a per-profile loop would evaluate them, so an
-error surfaces at the same profile.  Moves between profiles are index
-arithmetic: a voter joining with ballot d leads to ``code*k + d``, a
-relabeling maps every digit, and a changed ballot at voter v adds
-``(new-old)*k^(n-1-v)``.
+checker on its own evaluates only the profiles it reads.  A slot's profile is
+built without re-validation (``core._trusted_profile``): its ballots come from
+the alphabet's own symbols, and it equals, and hashes like, the checked
+``Profile`` of the same ballots.  Checkers read the slots in the order in
+which a per-profile loop would evaluate them, so an error surfaces at the same
+profile.  Moves between profiles are index arithmetic: a voter joining with
+ballot d leads to ``code*k + d``, a relabeling maps every digit, and a changed
+ballot at voter v adds ``(new-old)*k^(n-1-v)``.
 
 The relabeling checks (C2, MA3) read each orbit once.  The relabelings a
 check tests, with the identity, form a group G that acts on profiles and on
@@ -34,14 +36,16 @@ The index tables an outcome table reads depend only on the alphabet and the
 profile size, so each is built once per process and shared by every table:
 the ballot tuples of half a profile (keyed by the symbols in order), each
 code's counts and class representative (by k), the relabeled codes of half a
-profile (by the relabeling's digit map) and the relabelings C2 tests.  Once
-every slot of a level holds a symbol its reader is the slot list's own lookup,
-so the checkers after C2 read lists; a level holding an error keeps the
-evaluating reader.  C3 and MA2 compare each outcome with the one at its class
-representative, the least code with the same counts.  A class offends iff one
-of its codes mismatches, and its first code is its representative, so the
-least representative among the mismatching codes is the first code of the
-first offending class: the witness of the loop over every class.
+profile (by the relabeling's digit map), the relabelings C2 tests, and per
+tuple of relabelings and size their symbol maps and half-profile code tables
+(``_relabel_maps``).  Once every slot of a level holds a symbol its reader is
+the slot list's own lookup, so the checkers after C2 read lists; a level
+holding an error keeps the evaluating reader.  C3 and MA2 compare each outcome
+with the one at its class representative, the least code with the same
+counts.  A class offends iff one of its codes mismatches, and its first code
+is its representative, so the least representative among the mismatching
+codes is the first code of the first offending class: the witness of the loop
+over every class.
 
 Neutrality (C2), anonymity (C3) and tie-ballot invariance (C4) are always
 tested on raw profiles, never through the count-signature quotient, so a bug in
@@ -69,6 +73,7 @@ from .core import (
     Tally,
     VoteLabError,
     VoterPermutation,
+    _trusted_profile,
     apply_alt_permutation,
     apply_voter_permutation,
     extend,
@@ -195,21 +200,21 @@ class Outcomes:
             if value is _PENDING:
                 head, tail = divmod(code, tail_codes)
                 try:
-                    value = evaluate(Profile(alphabet, heads[head] + tails[tail]))
+                    value = evaluate(_trusted_profile(alphabet, heads[head] + tails[tail]))
                 except Exception as exc:  # kept in the slot; every read raises it
-                    value = exc
-                else:
-                    if value in alternatives:
-                        symbols[size] += 1
-                    else:
-                        value = RuleDomainError(
-                            f"rule {self.rule.descriptor} answered {value!r}, which is "
-                            f"not a symbol of the alphabet {alternatives}"
-                        )
-                slots[code] = value
+                    slots[code] = exc
+                    raise
+                if value in alternatives:
+                    symbols[size] += 1
+                    slots[code] = value
+                    return value
+                value = slots[code] = RuleDomainError(
+                    f"rule {self.rule.descriptor} answered {value!r}, which is "
+                    f"not a symbol of the alphabet {alternatives}"
+                )
             if isinstance(value, Exception):
                 raise value
-            return value
+            return value  # a str subclass equal to a symbol
 
         return read
 
@@ -227,7 +232,8 @@ class Outcomes:
         low = size // 2
         head, tail = divmod(code, self.k ** low)
         alts = self.alphabet.alternatives
-        return Profile(self.alphabet, _ballots(alts, size - low)[head] + _ballots(alts, low)[tail])
+        return _trusted_profile(self.alphabet,
+                                _ballots(alts, size - low)[head] + _ballots(alts, low)[tail])
 
 
 @functools.lru_cache(maxsize=None)
@@ -261,6 +267,21 @@ def _images(sigma: tuple[int, ...], size: int) -> list[int]:
     ``sigma`` (digit d becomes ``sigma[d]``)."""
     k = len(sigma)
     return [c * k + s for c in _images(sigma, size - 1) for s in sigma] if size else [0]
+
+
+@functools.lru_cache(maxsize=None)
+def _relabel_maps(
+    perms: tuple[AltPermutation, ...], size: int
+) -> list[tuple[AltPermutation, dict[str, str], list[int], list[int]]]:
+    """Per relabeling, at ``size`` ballots: its symbol map, and the relabeled
+    codes of a profile's head and of its tail (see :func:`_relabel_scan`)."""
+    low = size // 2
+    maps = []
+    for perm in perms:
+        sigma = tuple(map(perm.alphabet.index, perm.mapping))
+        maps.append((perm, dict(zip(perm.alphabet.alternatives, perm.mapping)),
+                     _images(sigma, size - low), _images(sigma, low)))
+    return maps
 
 
 @functools.lru_cache(maxsize=None)
@@ -319,13 +340,8 @@ def _relabel_scan(
     docstring)."""
     k = table.k
     read = table.reader(size)
-    low = size // 2
-    tail_codes = k ** low
-    maps = []
-    for perm in perms:
-        sigma = tuple(map(table.digit, perm.mapping))
-        maps.append((perm, dict(zip(perm.alphabet.alternatives, perm.mapping)),
-                     _images(sigma, size - low), _images(sigma, low)))
+    tail_codes = k ** (size // 2)
+    maps = _relabel_maps(perms, size)
     seen = bytearray(k ** size)
     for code in range(k ** size):
         if seen[code]:
@@ -409,16 +425,17 @@ def _extension_scan(
     _require_checkable(rule.alphabet)
     table = _table(rule, n_max, range(n_max + 1), outcomes)
     _require_extensible(axiom, n_max)
+    k, digit = table.k, table._digit  # every outcome read is a symbol of the alphabet
     checked = 0
     for size in range(n_max):
         read, read_joined = table.reader(size), table.reader(size + 1)
-        for code in range(table.k ** size):
+        for code in range(k ** size):
             checked += 1
             before = read(code)
             ballot = joining(before)
             if ballot is None:
                 continue
-            joined = code * table.k + table.digit(ballot)
+            joined = code * k + digit[ballot]
             after = read_joined(joined)
             if broken(before, after):
                 w = Witness(axiom, table.profile(size, code), table.profile(size + 1, joined),
@@ -503,13 +520,17 @@ def check_unavoidable_ties(
     table = _table(rule, n_max, range(n_max + 1), outcomes)
     bot = rule.alphabet.bot
     non_bot = [table.digit(s) for s in rule.alphabet.non_bot]
+    shared: dict[tuple[int, ...], bool] = {}  # top count shared, per ballot multiset
     checked = 0
     for size in range(n_max + 1):
         read = table.reader(size)
         for code, counts in enumerate(_counts(table.k, size)):
             checked += 1
-            tops = [counts[d] for d in non_bot]
-            if tops.count(max(tops)) < 2:
+            tied = shared.get(counts)
+            if tied is None:
+                tops = [counts[d] for d in non_bot]
+                tied = shared[counts] = tops.count(max(tops)) >= 2
+            if not tied:
                 continue
             outcome = read(code)
             if outcome != bot:
@@ -577,15 +598,18 @@ def check_ma4(
                for new in range(k)
                if new != old and (semantics == "in_favor" or value[new] == -value[old])]
               for old in range(k)] for v in range(n)]
+    # per old outcome, the moves it constrains: all from the tie, else its direction's
+    constrained = {fx: [[[(step, direction) for step, direction in by_old
+                          if fx in ("0", direction)] for by_old in by_voter] for by_voter in moves]
+                   for fx in rule.alphabet.alternatives}
     read = table.reader(n)
     checked = 0
     for code, digits in enumerate(itertools.product(range(k), repeat=n)):
         checked += 1
         fx = read(code)
+        fx_moves = constrained[fx]
         for v, old in enumerate(digits):
-            for step, direction in moves[v][old]:
-                if fx not in ("0", direction):
-                    continue
+            for step, direction in fx_moves[v][old]:
                 moved = code + step
                 observed = read(moved)
                 if observed != direction:

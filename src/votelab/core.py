@@ -100,6 +100,16 @@ class Profile:
         return len(self.ballots)
 
 
+def _trusted_profile(alphabet: Alphabet, ballots: tuple[str, ...]) -> Profile:
+    """The profile of ``ballots``, built without ``__post_init__``: only for
+    ballots drawn from the alphabet's own symbols, which need no check.  The
+    result equals, and hashes like, ``Profile(alphabet, ballots)``."""
+    profile = object.__new__(Profile)
+    object.__setattr__(profile, "alphabet", alphabet)
+    object.__setattr__(profile, "ballots", ballots)
+    return profile
+
+
 @dataclass(frozen=True)
 class Tally:
     """Ballot counts for every alphabet symbol (zero for absent ones)."""
@@ -218,12 +228,13 @@ def strict_plurality(t: Tally) -> str | None:
                             [n for s, n in zip(t.alphabet.alternatives, t.counts) if s != bot])
 
 
-def plurality_winner(symbols: Sequence[str], counts: Sequence[int]) -> str | None:
+def plurality_winner(symbols: Sequence[str], counts: Sequence[int],
+                     default: str | None = None) -> str | None:
     """The symbol whose count (``counts`` aligned with ``symbols``) strictly
-    beats every other, or None when the top count is shared or not positive."""
+    beats every other, or ``default`` when the top count is shared or not positive."""
     top = max(counts)
     if top <= 0 or counts.count(top) > 1:
-        return None
+        return default
     return symbols[counts.index(top)]
 
 

@@ -38,20 +38,15 @@ class RuleFamily:
         raise NotImplementedError
 
     def _check_profile(self, profile: Profile) -> None:
-        if profile.alphabet is not self.alphabet and profile.alphabet != self.alphabet:
+        """RuleDomainError unless the profile's alphabet equals the rule's.  The
+        built-in rules call it only for an alphabet other than their own object."""
+        if profile.alphabet != self.alphabet:
             raise RuleDomainError(
                 f"rule {self.descriptor!r} expects alphabet {self.alphabet.alternatives}"
             )
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.descriptor}>"
-
-
-def _winner(alphabet: Alphabet, counts: tuple[int, ...]) -> str:
-    """The strict plurality winner among non-tie alternatives, or the tie
-    symbol; ``counts`` are aligned with ``alphabet.non_bot``."""
-    winner = plurality_winner(alphabet.non_bot, counts)
-    return winner if winner is not None else alphabet.bot
 
 
 def _domain_size(alphabet: Alphabet, horizon: int) -> int:
@@ -103,7 +98,8 @@ class TabulatedFamily:
 def pure_majority_table(alphabet: Alphabet, horizon: int) -> TabulatedFamily:
     """Pure majority restricted to signatures within the horizon."""
     return TabulatedFamily(alphabet, horizon, tuple(
-        _winner(alphabet, sig.counts) for sig in signatures_up_to(alphabet, horizon)))
+        plurality_winner(alphabet.non_bot, sig.counts, alphabet.bot)
+        for sig in signatures_up_to(alphabet, horizon)))
 
 
 class PureMajorityRule(RuleFamily):
@@ -113,8 +109,10 @@ class PureMajorityRule(RuleFamily):
         super().__init__(alphabet, "pure-majority")
 
     def evaluate(self, profile: Profile) -> str:
-        self._check_profile(profile)
-        return _winner(self.alphabet, tuple(map(profile.ballots.count, self.alphabet.non_bot)))
+        a = self.alphabet
+        if profile.alphabet is not a:
+            self._check_profile(profile)
+        return plurality_winner(a.non_bot, tuple(map(profile.ballots.count, a.non_bot)), a.bot)
 
 
 class MaySignRule(RuleFamily):
@@ -150,14 +148,16 @@ class QuorumRule(RuleFamily):
         self.mode = mode
 
     def evaluate(self, profile: Profile) -> str:
-        self._check_profile(profile)
+        a = self.alphabet
+        if profile.alphabet is not a:
+            self._check_profile(profile)
         ballots = profile.ballots
         turnout = len(ballots)
         if self.mode == "participation":
-            turnout -= ballots.count(self.alphabet.bot)
+            turnout -= ballots.count(a.bot)
         if turnout < self.threshold:
-            return self.alphabet.bot
-        return _winner(self.alphabet, tuple(map(ballots.count, self.alphabet.non_bot)))
+            return a.bot
+        return plurality_winner(a.non_bot, tuple(map(ballots.count, a.non_bot)), a.bot)
 
 
 class SupermajorityRule(RuleFamily):
@@ -181,7 +181,8 @@ class SupermajorityRule(RuleFamily):
         self.denom = denom
 
     def evaluate(self, profile: Profile) -> str:
-        self._check_profile(profile)
+        if profile.alphabet is not self.alphabet:
+            self._check_profile(profile)
         ballots = profile.ballots
         base = len(ballots)
         if self.denom == "nonbot":
@@ -214,7 +215,8 @@ class TabulatedRule(RuleFamily):
         self._position = signature_positions(family.alphabet, family.horizon)
 
     def evaluate(self, profile: Profile) -> str:
-        self._check_profile(profile)
+        if profile.alphabet is not self.alphabet:
+            self._check_profile(profile)
         counts = tuple(map(profile.ballots.count, self.alphabet.non_bot))
         # no more ballots than the horizon: the signature total is within it
         if len(profile.ballots) > self.family.horizon and sum(counts) > self.family.horizon:
@@ -232,5 +234,6 @@ class FunctionRule(RuleFamily):
         self._fn = fn
 
     def evaluate(self, profile: Profile) -> str:
-        self._check_profile(profile)
+        if profile.alphabet is not self.alphabet:
+            self._check_profile(profile)
         return self._fn(profile)

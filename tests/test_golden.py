@@ -33,3 +33,15 @@ def test_arrow_search_document(tmp_path):
     out = tmp_path / "arrow_search.json"
     main(["arrow-search", "--out", str(out)])
     assert hashlib.sha256(out.read_bytes()).hexdigest() == ARROW_SEARCH_SHA256
+
+
+# The audit at the profile budget's bound for 3 alternatives (n=8, C2-C6;
+# 349,525 profiles) is pinned by its digest.
+BUDGET_AUDIT_SHA256 = "31c7b32c5efbc9e93c465381c0c00985eb7a8644eb7a23192e182ad07e638c2a"
+
+
+def test_budget_sized_audit_document(tmp_path):
+    out = tmp_path / "audit_budget.json"
+    assert main(["audit", "--rule", "pure-majority", "--alternatives", "3",
+                 "--max-voters", "8", "--axioms", "C2-C6", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BUDGET_AUDIT_SHA256

@@ -620,3 +620,21 @@ def test_a_full_level_is_read_as_a_list():
     assert type(full) is not type(read)  # the slot list's own lookup
     assert [full(code) for code in range(4 ** 3)] == values
     assert sum(calls.values()) == evaluated == 4 ** 3
+
+
+def test_slot_profiles_equal_and_hash_like_checked_profiles():
+    received = []
+
+    def recorded(p):
+        received.append(p)
+        return pure_majority(p)
+
+    rule = FunctionRule(AB3, recorded, "recorded")
+    assert axioms.audit(rule, ("C2", "C3", "C4", "C5"), 3).all_pass
+    assert len(received) == sum(4 ** s for s in range(4))
+    for p in received:
+        checked = Profile(AB3, p.ballots)
+        assert type(p) is Profile and p.alphabet is AB3
+        assert p == checked and hash(p) == hash(checked) and repr(p) == repr(checked)
+    assert {p.ballots for p in received} == {p.ballots for s in range(4)
+                                             for p in profiles_of_size(AB3, s)}

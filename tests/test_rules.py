@@ -19,6 +19,7 @@ from votelab.core import (
 from votelab import rules
 from votelab.enumeration import MayFunctionTable
 from votelab.rules import (
+    FunctionRule,
     MaySignRule,
     PureMajorityRule,
     QuorumRule,
@@ -272,3 +273,36 @@ def test_may_sign_rule_is_anonymous_and_neutral():
             q = apply_voter_permutation(p, VoterPermutation(mapping))
             assert rule.evaluate(q) == value
         assert rule.evaluate(apply_alt_permutation(p, negate)) == negate.apply(value)
+
+
+AB3 = Alphabet.make(3)
+
+
+def builtin_rules():
+    return [
+        PureMajorityRule(AB3),
+        MaySignRule(),
+        QuorumRule(AB3, 2, "literal"),
+        QuorumRule(AB3, 2, "participation"),
+        SupermajorityRule(AB3, Fraction(1, 2), "all"),
+        SupermajorityRule(AB3, Fraction(1, 2), "nonbot"),
+        TabulatedRule(pure_majority_table(AB3, 4)),
+        FunctionRule(AB3, lambda p: p.ballots[0] if p.ballots else p.alphabet.bot, "first"),
+    ]
+
+
+@pytest.mark.parametrize("rule", builtin_rules(), ids=lambda r: r.descriptor)
+def test_a_profile_over_an_equal_alphabet_object_evaluates_as_over_the_rules_own(rule):
+    own = rule.alphabet
+    twin = Alphabet(own.alternatives, own.bot)
+    assert twin == own and twin is not own
+    for p in profiles_up_to(own, 4):
+        assert rule.evaluate(Profile(twin, p.ballots)) == rule.evaluate(p)
+
+
+@pytest.mark.parametrize("rule", builtin_rules(), ids=lambda r: r.descriptor)
+def test_a_profile_over_a_foreign_alphabet_is_refused(rule):
+    foreign = MAY if rule.alphabet != MAY else AB2
+    for ballots in [(), (foreign.bot,), foreign.alternatives]:
+        with pytest.raises(RuleDomainError):
+            rule.evaluate(Profile(foreign, ballots))
