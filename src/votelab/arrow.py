@@ -36,6 +36,8 @@ voter's order, so that a single-pair move i -> j takes group i to group j
 position by position, with per move the (social before, social after) index
 pairs that drop a moved-toward pair.  A failed screen falls back to the
 per-code loop, which gives the witness and ``profiles_checked``.
+``arrow_search``'s survivors carry the search's own index bytes, and their
+orders are read from those.
 """
 
 from __future__ import annotations
@@ -178,14 +180,24 @@ class TabulatedSWF(SWF):
         if len(values) != len(domain.profiles):
             raise ValueError(f"a table over {n} voters needs one order for each of "
                              f"{len(domain.profiles)} profiles, got {len(values)}")
-        self._values = tuple(values)
-        self._codes = domain.codes
-        self._indices = domain.order_indices(self._values)
+        values = tuple(values)
+        self._fill(alternatives, n, values, domain.order_indices(values), descriptor)
+
+    @classmethod
+    def _of_indices(cls, alternatives: tuple[str, ...], n: int, indices: bytes) -> TabulatedSWF:
+        """The table of the domain's orders at ``indices`` (one byte per code), as
+        the constructor builds it from those orders, without finding them again."""
+        swf, orders = cls.__new__(cls), _tables(alternatives, n).orders
+        swf._fill(alternatives, n, tuple([orders[i] for i in indices]), indices, None)
+        return swf
+
+    def _fill(self, alternatives: tuple[str, ...], n: int, values: tuple[WeakOrder, ...],
+              indices: bytes | None, descriptor: str | None) -> None:
+        domain = _tables(alternatives, n)
+        self._values, self._codes, self._indices = values, domain.codes, indices
         if descriptor is None:
-            if self._indices is None:
-                text = "|".join(map(str, self._values)).encode()
-            else:
-                text = b"|".join(map(domain.labels.__getitem__, self._indices))
+            text = (domain.label_text(indices) if indices is not None
+                    else "|".join(map(str, values)).encode())
             descriptor = f"swf:sha256:{hashlib.sha256(text).hexdigest()[:12]}"
         super().__init__(alternatives, n, descriptor)
 
@@ -233,14 +245,12 @@ def borda_swf(alternatives: tuple[str, ...], n: int) -> SWF:
     """
 
     def run(profile: ArrowProfile) -> WeakOrder:
-        scores = {
-            a: sum(
-                2 * sum(1 for b in alternatives if b != a and w.stance(a, b) > 0)
-                + sum(1 for b in alternatives if b != a and w.stance(a, b) == 0)
-                for w in profile
-            )
-            for a in alternatives
-        }
+        # per voter: 2 per alternative in a lower block, 1 per other in its own
+        scores = dict.fromkeys(alternatives, 0)
+        for w in profile:
+            levels = [w.level(a) for a in alternatives]
+            for a, la in zip(alternatives, levels):
+                scores[a] += 2 * sum(map(la.__lt__, levels)) + levels.count(la) - 1
         levels = sorted(set(scores.values()), reverse=True)
         blocks = tuple(
             tuple(a for a in alternatives if scores[a] == lv) for lv in levels
@@ -293,7 +303,8 @@ class _OrderTables:
         self.index = {w: i for i, w in enumerate(self.orders)}
         # each order's index keyed by identity: the tables keep the orders alive
         self.at = {id(w): i for i, w in enumerate(self.orders)}
-        self.labels = [str(w).encode() for w in self.orders]  # for descriptors
+        labels = zip(*(str(w).encode() for w in self.orders))  # by column, for descriptors
+        self.label_columns = tuple(bytes(column).ljust(256, b"\0") for column in labels)
         self.pairs = tuple(_ordered_pairs(alternatives))
         self.pair_index = {q: p for p, q in enumerate(self.pairs)}
         self.stances = tuple(tuple(w.stance(a, b) for a, b in self.pairs) for w in self.orders)
@@ -348,6 +359,15 @@ class _OrderTables:
         except KeyError:
             found = list(map(self.find, values))
             return None if None in found else bytes(found)
+
+    def label_text(self, indices: bytes) -> bytearray:
+        """The labels of the orders at ``indices`` joined by "|", a column at a time:
+        every label has each alternative once and 3-character separators, so one width."""
+        step = len(self.label_columns) + 1
+        text = bytearray(b"|" * (len(indices) * step - 1))
+        for c, column in enumerate(self.label_columns):
+            text[c::step] = indices.translate(column)
+        return text
 
     # --- read only for tables with indices, so built on first use -----------
 
@@ -681,8 +701,5 @@ def arrow_search(n: int = 2, alternatives: tuple[str, ...] = ("a", "b", "c")) ->
             social = bytes(weight * (mask.bit_length() - 1) for mask in m[k * size:(k + 1) * size])
             code += int.from_bytes(key.translate(social.ljust(256, b"\0")), "big")
         found.add(code.to_bytes(len(domain.profiles), "big").translate(order_at))
-    # bytes of order indices sort as the tuples of them do; a list's
-    # __getitem__ maps faster than a tuple's, and raises on a 255
-    orders = list(domain.orders)
-    return tuple(TabulatedSWF(alternatives, n, tuple(map(orders.__getitem__, key)))
-                 for key in sorted(found))
+    # bytes of order indices sort as the tuples of them do; a 255 raises
+    return tuple(TabulatedSWF._of_indices(alternatives, n, key) for key in sorted(found))

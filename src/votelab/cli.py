@@ -520,11 +520,11 @@ def cmd_arrow_search(args: argparse.Namespace) -> int:
     n = 2
     survivors = arrow.arrow_search(n, alternatives)
     profiles = arrow.sorted_profiles(alternatives, n)
-    # built once: the profiles and the survivors hold these order objects
+    # built once, in order-index order: the profiles hold these order objects
     lines = {id(w): format_rank_line(w) for w in arrow.enumerate_weak_orders(alternatives)}
     rows = ([lines[id(w)] for w in x] for x in profiles)
-    # one cell per profile and order, shared by every survivor's table
-    cells = [{i: {"profile": row, "order": line} for i, line in lines.items()} for row in rows]
+    # per profile, one cell per order by index, shared by every survivor's table
+    cells = [[{"profile": row, "order": line} for line in lines.values()] for row in rows]
     doc = {
         **_report_header("arrow-search"),
         "parameters": {"voters": n, "alternatives": list(alternatives)},
@@ -534,7 +534,7 @@ def cmd_arrow_search(args: argparse.Namespace) -> int:
                 "descriptor": swf.descriptor,
                 "dictator": arrow.find_dictator(swf),
                 "dictator_premise": "strict",
-                "table": [cell[id(w)] for cell, w in zip(cells, swf.value_tuple())],
+                "table": list(map(list.__getitem__, cells, swf._indices)),
             }
             for swf in survivors
         ],

@@ -372,17 +372,23 @@ def propagate(masks: list[int], watch: Watch, width: int, changed: Iterable[int]
     return True
 
 
-def solutions(masks: list[int], watch: Watch, width: int,
-              changed: Iterable[int] | None = None) -> Iterator[list[int]]:
-    """Every assignment the constraints allow, as one-bit masks: propagate from
-    the ``changed`` variables (all by default) to a fixpoint, then branch on
-    the first variable left open, its values in increasing order."""
-    if not propagate(masks, watch, width, range(len(masks)) if changed is None else changed):
-        return
-    x = next((x for x, m in enumerate(masks) if m & m - 1), None)
-    if x is None:
-        yield masks
-        return
-    for value in range(width):
-        if masks[x] >> value & 1:
-            yield from solutions(masks[:x] + [1 << value] + masks[x + 1:], watch, width, (x,))
+def solutions(masks: list[int], watch: Watch, width: int) -> Iterator[list[int]]:
+    """Every assignment the constraints allow, as one-bit masks, in lexicographic
+    order: propagate to a fixpoint, then branch on the first variable left open,
+    its values in increasing order.  A branch is propagated when it is taken,
+    and only the variables after its own can still be open."""
+    branches = [(masks, -1, 0)]  # (parent masks, variable, value); -1: the root itself
+    while branches:
+        masks, x, value = branches.pop()
+        if x >= 0:
+            masks = masks.copy()
+            masks[x] = 1 << value
+        if not propagate(masks, watch, width, (x,) if x >= 0 else range(len(masks))):
+            continue
+        for x in range(x + 1, len(masks)):
+            mask = masks[x]
+            if mask & mask - 1:
+                branches.extend((masks, x, v) for v in range(width - 1, -1, -1) if mask >> v & 1)
+                break
+        else:
+            yield masks

@@ -255,3 +255,48 @@ class TestArrowSearch:
                     assert table[key] == swf.evaluate(x).stance(a, b)
         assert factor_into_pair_functions(borda_swf(ALTS, 2)) is None
         assert check_a3(borda_swf(ALTS, 2)).status == "fail"
+
+
+def stance_borda(alternatives):
+    """The Borda rule as it was first written, by stances, kept as the
+    reference for ``borda_swf``'s scores, blocks and raised errors."""
+
+    def run(profile):
+        scores = {
+            a: sum(
+                2 * sum(1 for b in alternatives if b != a and w.stance(a, b) > 0)
+                + sum(1 for b in alternatives if b != a and w.stance(a, b) == 0)
+                for w in profile
+            )
+            for a in alternatives
+        }
+        levels = sorted(set(scores.values()), reverse=True)
+        return WeakOrder(tuple(tuple(a for a in alternatives if scores[a] == lv)
+                               for lv in levels))
+
+    return run
+
+
+def outcome(rule, profile):
+    try:
+        return rule(profile)
+    except Exception as error:  # compared by class and key
+        return type(error), error.args
+
+
+@pytest.mark.parametrize("alternatives, n", [
+    (ALTS[:2], 1), (ALTS[:2], 2), (ALTS, 1), (ALTS, 2), (ALTS + ("d",), 1),
+    (ALTS + ("d",), 2), (ALTS, 3),
+])
+def test_borda_matches_the_stance_rule(alternatives, n):
+    new, old = borda_swf(alternatives, n).evaluate, stance_borda(alternatives)
+    for x in sorted_profiles(alternatives, n):
+        assert new(x) == old(x)
+    # orders lacking the first or the last alternative, or covering an extra one
+    foreign = [w for others in (alternatives[1:], alternatives[:-1], alternatives + ("z",))
+               for w in enumerate_weak_orders(others)[:3]]
+    mixed = [x for x in itertools.product([*enumerate_weak_orders(alternatives)[:3], *foreign],
+                                          repeat=n) if set(x) & set(foreign)]
+    results = [(outcome(new, x), outcome(old, x)) for x in mixed]
+    assert all(got == want for got, want in results)
+    assert any(isinstance(got, tuple) and got[0] is KeyError for got, _ in results)

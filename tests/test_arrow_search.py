@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from votelab import arrow, core
 from votelab.arrow import (
+    TabulatedSWF,
     arrow_search,
     enumerate_weak_orders,
     find_dictator,
@@ -97,6 +98,20 @@ def test_search_matches_the_pair_join(alternatives, n):
     assert got == old_search(n, alternatives)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("alternatives", [ALTS, ("x", "yy", "zzz")])
+def test_survivors_are_the_tables_the_constructor_builds(alternatives, n):
+    """Survivors are built from the search's index bytes; names of unequal
+    length check that the descriptor text is the join of the labels."""
+    for s in arrow_search(n, alternatives):
+        built = TabulatedSWF(alternatives, n, s.value_tuple())
+        assert s.value_tuple() == built.value_tuple()
+        assert s._indices == built._indices is not None
+        text = b"|".join(str(w).encode() for w in s.value_tuple())
+        assert s.descriptor == built.descriptor == (
+            "swf:sha256:" + hashlib.sha256(text).hexdigest()[:12])
+
+
 def test_bounds_are_checked_before_any_table_is_built():
     before = arrow._tables.cache_info()
     for n, alternatives in ((4, ALTS), (0, ALTS), (True, ALTS), (2.0, ALTS), (-1, ALTS),
@@ -150,6 +165,36 @@ def test_solutions_match_brute_force(problem):
             and all(holds(kind, tuple(values[x] for x in variables), arg)
                     for kind, variables, arg in constraints)]
     assert got == want
+
+
+def old_solutions(masks, watch, width, changed=None):
+    """The recursive search core ``core.solutions`` replaced, kept as the
+    reference for its order."""
+    if not core.propagate(masks, watch, width,
+                          range(len(masks)) if changed is None else changed):
+        return
+    x = next((x for x, m in enumerate(masks) if m & m - 1), None)
+    if x is None:
+        yield masks
+        return
+    for value in range(width):
+        if masks[x] >> value & 1:
+            yield from old_solutions(masks[:x] + [1 << value] + masks[x + 1:], watch, width, (x,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(constraint_problems())
+def test_solutions_come_in_the_recursive_order_which_is_lexicographic(problem):
+    width, masks, constraints = problem
+    watch = [[] for _ in masks]
+    for kind, variables, arg in constraints:
+        supports = (core.listed(arg, width) if kind == "listed"
+                    else core.not_all(arg, len(variables), width))
+        core.post(watch, variables, supports)
+    got = [list(solution) for solution in core.solutions(list(masks), watch, width)]
+    assert got == [list(solution) for solution in old_solutions(list(masks), watch, width)]
+    values = [tuple(m.bit_length() - 1 for m in solution) for solution in got]
+    assert values == sorted(set(values))
 
 
 @settings(max_examples=200, deadline=None)
