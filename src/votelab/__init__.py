@@ -15,7 +15,6 @@ from .core import (
     Alphabet,
     AltPermutation,
     BoundError,
-    CountSignature,
     HorizonError,
     Profile,
     RuleDomainError,
@@ -71,7 +70,6 @@ __all__ = [
     "AuditReport",
     "BoundError",
     "CheckResult",
-    "CountSignature",
     "FamilySet",
     "FunctionRule",
     "HorizonError",

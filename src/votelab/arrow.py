@@ -17,27 +17,28 @@ switching from order i to order j leads from ``code`` to
 ``code + (j - i)*m^(n-1-v)``.  A ``TabulatedSWF`` is read by code and never
 evaluated; any other SWF is evaluated on each profile once during one check,
 when its code is first read, in the order in which a per-profile loop would
-first evaluate it.  A social order is found in the index by identity (the
-orders are built once, so tables, profiles and survivors share them), then by
+first evaluate it.  Its answer is found in the index by identity (the orders
+are built once, so tables, profiles and survivors share them), then by
 equality; a ``WeakOrder`` outside the index (blocks listed in another order,
 other alternatives) is read through ``WeakOrder.stance`` pair by pair, so
 verdicts and raised errors do not depend on the tables.  An answer that is not
 a ``WeakOrder`` is read through its ``stance`` too, so ``None`` raises
 AttributeError on its first stance read.
 
-A ``TabulatedSWF`` whose values are all indexed orders keeps their indices,
-one byte per code.  For such a table ``find_dictator`` decides, and
-``check_a2`` and the pair factoring of ``check_a3`` screen, with whole-column
-set operations over three more tables, built on first use: per dictator
-premise, the (voter order, social order) index pairs, of the m x m, in which
-the social order honours every premise pair of the voter's; per voter, the
-voter's order index at every code; and per voter, the codes grouped by that
-voter's order, so that a single-pair move i -> j takes group i to group j
-position by position, with per move the (social before, social after) index
-pairs that drop a moved-toward pair.  A failed screen falls back to the
-per-code loop, which gives the witness and ``profiles_checked``.
-``arrow_search``'s survivors carry the search's own index bytes, and their
-orders are read from those.
+A ``TabulatedSWF`` is its orders' indices, one byte per code: its
+constructor finds each value in the index, by identity or equality, and
+refuses any other value; its orders are read from the bytes when asked for.
+For a table ``find_dictator`` decides, and ``check_a2`` and the pair
+factoring of ``check_a3`` screen, with whole-column set operations over three
+more tables, built on first use: per dictator premise, the (voter order,
+social order) index pairs, of the m x m, in which the social order honours
+every premise pair of the voter's; per voter, the voter's order index at
+every code; and per voter, the codes grouped by that voter's order, so that a
+single-pair move i -> j takes group i to group j position by position, with
+per move the (social before, social after) index pairs that drop a
+moved-toward pair.  A failed screen falls back to the per-code loop, which
+gives the witness and ``profiles_checked``.  ``arrow_search``'s survivors
+carry the search's own index bytes.
 """
 
 from __future__ import annotations
@@ -146,10 +147,6 @@ class SWF:
     def evaluate(self, profile: ArrowProfile) -> WeakOrder:
         raise NotImplementedError
 
-    def _order_at(self, code: int, profiles: Sequence[ArrowProfile]) -> WeakOrder:
-        """The social order at ``profiles[code]``, the domain's profile of that code."""
-        return self.evaluate(profiles[code])
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.descriptor}>"
 
@@ -167,49 +164,57 @@ class FunctionSWF(SWF):
 class TabulatedSWF(SWF):
     """Explicit order table over every profile for fixed n.
 
-    ``values`` holds one social order per profile, in ``sorted_profiles``
-    order; a profile is looked up by its code in the domain's order tables
-    (see the module docstring), which every table of the domain shares.  The
-    table also keeps each value's index among the domain's orders, one byte
-    per code, or None if some value is not an indexed order.
+    The table is one byte per profile, in ``sorted_profiles`` order: the index
+    of its social order among the domain's weak orders.  A profile is looked
+    up by its code in the domain's order tables (see the module docstring),
+    which every table of the domain shares.  Every value must be one of the
+    domain's orders, found by identity or by equality; anything else raises
+    ValueError, as does a domain of more than 256 orders.
     """
 
     def __init__(self, alternatives: tuple[str, ...], n: int,
                  values: Sequence[WeakOrder], descriptor: str | None = None):
+        if len(alternatives) > 4:  # 541 weak orders on 5 alternatives: over a byte
+            raise ValueError(f"a table holds one byte per profile, so at most 256 weak "
+                             f"orders; {len(alternatives)} alternatives have more")
         domain = _tables(alternatives, n)
         if len(values) != len(domain.profiles):
             raise ValueError(f"a table over {n} voters needs one order for each of "
                              f"{len(domain.profiles)} profiles, got {len(values)}")
-        values = tuple(values)
-        self._fill(alternatives, n, values, domain.order_indices(values), descriptor)
+        try:
+            indices = bytes(map(domain.at.__getitem__, map(id, values)))
+        except KeyError:
+            found = list(map(domain.find, values))
+            if None in found:
+                code = found.index(None)
+                raise ValueError(f"the value at profile code {code}, {values[code]!r}, is "
+                                 f"not one of the weak orders on {alternatives}") from None
+            indices = bytes(found)
+        self._fill(alternatives, n, indices, descriptor)
 
     @classmethod
     def _of_indices(cls, alternatives: tuple[str, ...], n: int, indices: bytes) -> TabulatedSWF:
         """The table of the domain's orders at ``indices`` (one byte per code), as
         the constructor builds it from those orders, without finding them again."""
-        swf, orders = cls.__new__(cls), _tables(alternatives, n).orders
-        swf._fill(alternatives, n, tuple([orders[i] for i in indices]), indices, None)
+        swf = cls.__new__(cls)
+        swf._fill(alternatives, n, indices, None)
         return swf
 
-    def _fill(self, alternatives: tuple[str, ...], n: int, values: tuple[WeakOrder, ...],
-              indices: bytes | None, descriptor: str | None) -> None:
+    def _fill(self, alternatives: tuple[str, ...], n: int, indices: bytes,
+              descriptor: str | None) -> None:
         domain = _tables(alternatives, n)
-        self._values, self._codes, self._indices = values, domain.codes, indices
+        self._orders, self._codes, self._indices = domain.orders, domain.codes, indices
         if descriptor is None:
-            text = (domain.label_text(indices) if indices is not None
-                    else "|".join(map(str, values)).encode())
+            text = domain.label_text(indices)
             descriptor = f"swf:sha256:{hashlib.sha256(text).hexdigest()[:12]}"
         super().__init__(alternatives, n, descriptor)
 
     def evaluate(self, profile: ArrowProfile) -> WeakOrder:
-        return self._values[self._codes[profile]]
-
-    def _order_at(self, code: int, profiles: Sequence[ArrowProfile]) -> WeakOrder:
-        return self._values[code]
+        return self._orders[self._indices[self._codes[profile]]]
 
     def value_tuple(self) -> tuple[WeakOrder, ...]:
         """Orders in canonical profile order; the table's identity for sorting."""
-        return self._values
+        return tuple(map(self._orders.__getitem__, self._indices))
 
 
 @functools.lru_cache(maxsize=None)
@@ -349,17 +354,6 @@ class _OrderTables:
                 pass
         return i
 
-    def order_indices(self, values: Sequence[WeakOrder]) -> bytes | None:
-        """Each value's index, or None if some value is not an indexed order
-        (or the indices do not fit a byte)."""
-        if len(self.orders) > 256:
-            return None
-        try:
-            return bytes(map(self.at.__getitem__, map(id, values)))
-        except KeyError:
-            found = list(map(self.find, values))
-            return None if None in found else bytes(found)
-
     def label_text(self, indices: bytes) -> bytearray:
         """The labels of the orders at ``indices`` joined by "|", a column at a time:
         every label has each alternative once and 3-character separators, so one width."""
@@ -430,9 +424,8 @@ class _ForeignStances:
 
 def _social(swf: SWF, tables: _OrderTables) -> Callable[[int], _Row]:
     """The stance row of the SWF's order at a profile code: by index for a
-    table with indices, else found the first time the code is read (by code
-    in a ``TabulatedSWF``, else by evaluating the SWF) and kept for the rest
-    of the check."""
+    ``TabulatedSWF``, else found by evaluating the SWF the first time the code
+    is read and kept for the rest of the check."""
     profiles, find, known = tables.profiles, tables.find, tables.stances
     indices = swf._indices
     if indices is not None:
@@ -442,7 +435,7 @@ def _social(swf: SWF, tables: _OrderTables) -> Callable[[int], _Row]:
     def read(code: int) -> _Row:
         row = rows[code]
         if row is None:
-            order = swf._order_at(code, profiles)
+            order = swf.evaluate(profiles[code])
             i = find(order)
             row = known[i] if i is not None else _ForeignStances(order, tables.pairs)
             rows[code] = row

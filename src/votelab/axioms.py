@@ -70,13 +70,13 @@ from .core import (
     BoundError,
     Profile,
     RuleDomainError,
-    Tally,
     VoteLabError,
     VoterPermutation,
     _trusted_profile,
     apply_alt_permutation,
     apply_voter_permutation,
     extend,
+    plurality_winner,
     profile_budget,
     profiles_of_size,  # unused here; perfbench's tracer patches this module attribute
     strict_plurality,
@@ -491,8 +491,9 @@ def check_plurality_property(
     _require_checkable(rule.alphabet)
     table = _table(rule, n_max, range(n_max + 1), outcomes)
     alphabet = rule.alphabet
-    bot = alphabet.bot
-    winners: dict[tuple[int, ...], str | None] = {}  # one Tally per ballot multiset
+    bot, non_bot = alphabet.bot, alphabet.non_bot
+    bot_at = alphabet.index(bot)
+    winners: dict[tuple[int, ...], str] = {}  # per ballot multiset: the winner, or bot
     checked = 0
     for size in range(n_max + 1):
         read = table.reader(size)
@@ -502,12 +503,12 @@ def check_plurality_property(
             if outcome == bot:
                 continue
             if counts not in winners:
-                winners[counts] = strict_plurality(Tally(alphabet, counts))
-            winner = winners[counts]
-            if winner != outcome:
+                non_tie = counts[:bot_at] + counts[bot_at + 1:]
+                winners[counts] = plurality_winner(non_bot, non_tie, bot)
+            expected = winners[counts]
+            if expected != outcome:
                 w = Witness(PLURALITY_PROPERTY, table.profile(size, code), None,
-                            expected=winner if winner is not None else bot,
-                            observed=outcome)
+                            expected=expected, observed=outcome)
                 return CheckResult(PLURALITY_PROPERTY, "fail", w, checked)
     return CheckResult(PLURALITY_PROPERTY, "pass", None, checked)
 

@@ -214,7 +214,7 @@ def family_json(family: TabulatedFamily) -> dict:
         "bot": family.alphabet.bot,
         "horizon": family.horizon,
         "entries": [
-            _entry(sig.counts, value)
+            _entry(sig, value)
             for sig, value in zip(
                 signatures_up_to(family.alphabet, family.horizon), family.value_tuple()
             )
@@ -630,16 +630,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (BallotParseError, RuleDomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (HorizonError, BoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUNDS
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except VoteLabError as exc:
+    except (VoteLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

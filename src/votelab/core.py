@@ -122,14 +122,6 @@ class Tally:
 
 
 @dataclass(frozen=True)
-class CountSignature:
-    """Non-tie ballot counts: the profile modulo voter order and tie ballots."""
-
-    alphabet: Alphabet
-    counts: tuple[int, ...]  # aligned with alphabet.non_bot
-
-
-@dataclass(frozen=True)
 class AltPermutation:
     """Bijection on the alternatives that fixes the tie symbol."""
 
@@ -211,10 +203,10 @@ def extend(profile: Profile, symbol: str) -> Profile:
     return Profile(profile.alphabet, profile.ballots + (symbol,))
 
 
-def signature(profile: Profile) -> CountSignature:
-    """Non-tie counts; invariant under voter reordering and tie-ballot insertion."""
-    return CountSignature(profile.alphabet,
-                          tuple(map(profile.ballots.count, profile.alphabet.non_bot)))
+def signature(profile: Profile) -> tuple[int, ...]:
+    """The count signature: the non-tie ballot counts, aligned with
+    ``alphabet.non_bot``; invariant under voter reordering and tie-ballot insertion."""
+    return tuple(map(profile.ballots.count, profile.alphabet.non_bot))
 
 
 def strict_plurality(t: Tally) -> str | None:
@@ -283,19 +275,18 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 
 @functools.lru_cache(maxsize=None)
-def signatures_up_to(alphabet: Alphabet, horizon: int) -> tuple[CountSignature, ...]:
+def signatures_up_to(alphabet: Alphabet, horizon: int) -> tuple[tuple[int, ...], ...]:
     """All count signatures with total at most ``horizon``, by total then lex:
     the canonical key order of every table over the alphabet, built once."""
     k = len(alphabet.non_bot)
-    return tuple(CountSignature(alphabet, counts)
-                 for total in range(horizon + 1) for counts in compositions(total, k))
+    return tuple(counts for total in range(horizon + 1) for counts in compositions(total, k))
 
 
 @functools.lru_cache(maxsize=None)
 def signature_positions(alphabet: Alphabet, horizon: int) -> dict[tuple[int, ...], int]:
-    """Each count tuple of :func:`signatures_up_to` with its position there:
+    """Each signature of :func:`signatures_up_to` with its position there:
     where a table over the alphabet keeps that signature's value."""
-    return {sig.counts: i for i, sig in enumerate(signatures_up_to(alphabet, horizon))}
+    return {sig: i for i, sig in enumerate(signatures_up_to(alphabet, horizon))}
 
 
 def check_values(values: tuple, size: int, allowed: Container) -> None:

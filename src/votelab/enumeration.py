@@ -311,6 +311,6 @@ def plurality_artifacts(
     for fam in family_set.families:
         for sig, value, winner in zip(sigs, fam.value_tuple(), winners):
             if value not in (bot, winner):
-                out.append((fam, sig.counts))
+                out.append((fam, sig))
                 break
     return out

@@ -98,7 +98,7 @@ class TabulatedFamily:
 def pure_majority_table(alphabet: Alphabet, horizon: int) -> TabulatedFamily:
     """Pure majority restricted to signatures within the horizon."""
     return TabulatedFamily(alphabet, horizon, tuple(
-        plurality_winner(alphabet.non_bot, sig.counts, alphabet.bot)
+        plurality_winner(alphabet.non_bot, sig, alphabet.bot)
         for sig in signatures_up_to(alphabet, horizon)))
 
 

@@ -12,4 +12,4 @@ def profiles_up_to(alphabet, n_max):
 def table_of(family):
     """A tabulated family's values keyed by signature counts, as a new dict."""
     sigs = signatures_up_to(family.alphabet, family.horizon)
-    return {sig.counts: value for sig, value in zip(sigs, family.value_tuple())}
+    return dict(zip(sigs, family.value_tuple()))

@@ -313,7 +313,7 @@ def test_criterion_08_dictatorship_at_desk_scale():
 def _restrict(family_set, horizon):
     """The horizon-``horizon`` restrictions of the families, deduplicated and
     in canonical order."""
-    sigs = [sig.counts for sig in signatures_up_to(family_set.alphabet, horizon)]
+    sigs = list(signatures_up_to(family_set.alphabet, horizon))
     restricted = {}
     for fam in family_set.families:
         full = table_of(fam)

@@ -5,9 +5,9 @@ once per check; here they are held to the per-profile loops they replaced.
 profile is taken from ``sorted_profiles``, every neighbour profile is built as
 a tuple, and every stance is asked of the orders themselves.  Each checker must
 return the same result or raise the same error, and must evaluate the same
-profiles, in the same order, as its loop.  A ``TabulatedSWF`` holding indexed
-orders only is decided on its order indices instead; it is called directly,
-never through ``counted``, and must still give the loop's result.
+profiles, in the same order, as its loop.  A ``TabulatedSWF`` is decided on
+its order indices instead; it is called directly, never through ``counted``,
+and must still give the loop's result.
 """
 
 import functools
@@ -217,33 +217,24 @@ def test_every_survivor_matches_the_loops():
         assert_matches_the_loops(swf)
 
 
-def tabulated_variants(survivors):
-    """Tables whose values the order index misses by identity: equal copies of
-    the indexed orders, an order with its blocks listed back to front, and
-    orders over other alternatives."""
-    tables = {}
-    for swf in (survivors[0], survivors[-1]):
-        values = swf.value_tuple()
-        tables[f"copies of {swf.descriptor}"] = [WeakOrder(w.blocks) for w in values]
-        for at, answer in ((0, reversed_blocks(enumerate_weak_orders(ALTS)[-1])),
-                           (100, WeakOrder((("a",), ("c", "b")))),
-                           (7, WeakOrder((("a", "b"),))),
-                           (150, WeakOrder((("a", "z"), ("b", "c"))))):
-            tables[f"{answer} at {at} in {swf.descriptor}"] = (
-                values[:at] + (answer,) + values[at + 1:])
-    return [TabulatedSWF(ALTS, 2, values, label) for label, values in tables.items()]
-
-
 def test_tables_are_read_by_code_as_they_would_be_evaluated():
-    # a TabulatedSWF is read from its value tuple; through ``counted`` it is
-    # evaluated profile by profile, which every other test compares to the loops
+    # a TabulatedSWF is read from its index bytes; through ``counted`` it is
+    # evaluated profile by profile, which every other test compares to the
+    # loops.  Equal copies of the indexed orders are found by equality.
+    orders = enumerate_weak_orders(ALTS)
     survivors = arrow_search(2, ALTS)
-    variants = tabulated_variants(survivors)
-    for swf in survivors + tuple(variants):
+    copies = []
+    for swf in (survivors[0], survivors[-1]):
+        values = [WeakOrder(w.blocks) for w in swf.value_tuple()]
+        copy = TabulatedSWF(ALTS, 2, values, f"copies of {swf.descriptor}")
+        assert copy._indices == swf._indices
+        assert all(w is orders[i] for w, i in zip(copy.value_tuple(), copy._indices))
+        copies.append(copy)
+    for swf in survivors + tuple(copies):
         for name, (naive, args) in CHECKS.items():
             got = outcome(checker(name), swf, *args)
             assert got == outcome(checker(name), counted(swf)[0], *args), (name, swf)
-            if swf in variants:
+            if swf in copies:
                 assert got == outcome(naive, swf, *args), (name, swf)
 
 
@@ -296,7 +287,8 @@ def reversed_blocks(order):
 @st.composite
 def drawn_swfs(draw):
     """A deterministic SWF: a base SWF with some profiles answered by another
-    order, by a non-canonical one, by one over other alternatives, or refused."""
+    order, by a non-canonical one, by one over other alternatives, or refused.
+    It is a ``FunctionSWF``, so its foreign answers are read on the loop path."""
     alternatives = draw(st.sampled_from([("a", "b"), ALTS]))
     n = draw(st.sampled_from([1, 2]))
     orders = enumerate_weak_orders(alternatives)
@@ -392,21 +384,19 @@ def table_starts(alternatives, n):
 
 @st.composite
 def drawn_tables(draw):
-    """A table with a few values replaced by another indexed order, or, in
-    some tables, by a reversed-block or a foreign order."""
+    """A table's values, with a few replaced by another indexed order or by an
+    equal copy of one, and the table built from them.  Foreign answers, which
+    a table refuses, are drawn for ``FunctionSWF`` only (``drawn_swfs``)."""
     alternatives = draw(st.sampled_from([("a", "b"), ALTS]))
     n = draw(st.sampled_from([1, 2]))
     orders = enumerate_weak_orders(alternatives)
     values = list(draw(st.sampled_from(table_starts(alternatives, n))))
-    answers = st.sampled_from(orders)
-    if draw(st.booleans()):
-        foreign = [WeakOrder((alternatives[:-1],)),
-                   WeakOrder(((alternatives[0], "z"), alternatives[1:]))]
-        answers = st.one_of(answers, answers.map(reversed_blocks), st.sampled_from(foreign))
+    indexed = st.sampled_from(orders)
+    answers = st.one_of(indexed, indexed.map(lambda w: WeakOrder(w.blocks)))
     replaced = draw(st.dictionaries(st.integers(0, len(values) - 1), answers, max_size=4))
     for code, answer in replaced.items():
         values[code] = answer
-    return TabulatedSWF(alternatives, n, values, "drawn-table")
+    return values, TabulatedSWF(alternatives, n, values, "drawn-table")
 
 
 def assert_witness_reevaluates(swf, result):
@@ -441,12 +431,12 @@ def assert_tables_match_the_loops(swf):
 
 @settings(max_examples=60, deadline=None)
 @given(drawn_tables())
-def test_drawn_tables_match_the_loops(swf):
+def test_drawn_tables_match_the_loops(drawn):
+    values, swf = drawn
     orders = enumerate_weak_orders(swf.alternatives)
-    indexed = all(w in orders for w in swf.value_tuple())
-    assert (swf._indices is not None) == indexed
-    if indexed:
-        assert swf._indices == bytes(map(orders.index, swf.value_tuple()))
+    assert swf._indices == bytes(map(orders.index, values))
+    assert all(w is orders[i] for w, i in zip(swf.value_tuple(), swf._indices))
+    assert swf.value_tuple() == tuple(values)
     assert_tables_match_the_loops(swf)
 
 
@@ -455,10 +445,38 @@ def test_tabulated_counterexamples_fail_on_their_indices():
     failed = set()
     for swf in COUNTEREXAMPLES:
         table = TabulatedSWF(ALTS, 2, tabulate(swf.evaluate, ALTS, 2), swf.descriptor)
-        assert table._indices is not None
         assert_tables_match_the_loops(table)
         failed |= {check.__name__ for check in (arrow.check_a2, arrow.check_a3, arrow.check_a4)
                    if not check(table).passed}
         if arrow.find_dictator(table) is None:
             failed.add("no dictator")
     assert failed == {"check_a2", "check_a3", "check_a4", "no dictator"}
+
+
+NOT_ORDERS = [
+    reversed_blocks(enumerate_weak_orders(ALTS)[-1]),  # equal stances, not an equal order
+    WeakOrder((("a",), ("c", "b"))),  # one block listed back to front
+    WeakOrder((("a", "b"),)),  # misses an alternative
+    WeakOrder((("a", "z"), ("b", "c"))),  # an extra one
+    None,
+    "a > b > c",
+    [("a",), ("b",), ("c",)],  # unhashable
+]
+
+
+@pytest.mark.parametrize("answer", NOT_ORDERS, ids=repr)
+def test_a_table_refuses_a_value_outside_the_domains_orders(answer):
+    values = list(arrow_search(2, ALTS)[0].value_tuple())
+    values[100] = answer
+    with pytest.raises(ValueError, match=r"the value at profile code 100, .* is not one of"):
+        TabulatedSWF(ALTS, 2, values)
+
+
+def test_a_table_refuses_more_orders_than_a_byte_indexes_before_any_table_is_built():
+    abcd = ("a", "b", "c", "d")
+    table = TabulatedSWF(abcd, 1, enumerate_weak_orders(abcd))  # 75 orders
+    assert table._indices == bytes(range(75))
+    before = arrow._tables.cache_info()
+    with pytest.raises(ValueError, match="at most 256 weak orders"):
+        TabulatedSWF(("a", "b", "c", "d", "e"), 1, [])
+    assert arrow._tables.cache_info() == before

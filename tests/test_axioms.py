@@ -187,7 +187,7 @@ class TestC5:
         # conclusive for b at two a's against one b: adding the echoing b
         # ballot reaches the tied signature, where symmetry forces the tie
         def patched(p):
-            if signature(p).counts == (2, 1):
+            if signature(p) == (2, 1):
                 return "b"
             return pure_majority(p)
 
@@ -249,7 +249,7 @@ class TestTieClosure:
 
     def test_constructed_violation(self):
         def collapsing(p):
-            sig = signature(p).counts
+            sig = signature(p)
             if sig == (2, 0):
                 return "a"
             if sig == (3, 0):

@@ -132,7 +132,7 @@ class TestMayEnumeration:
 def brute_force_families(alphabet, horizon, with_c6=False):
     """Oracle: filter every signature table by independently written
     neutrality-orbit, consistency-closure and tie-escape constraints."""
-    sigs = [s.counts for s in signatures_up_to(alphabet, horizon)]
+    sigs = list(signatures_up_to(alphabet, horizon))
     non_bot = alphabet.non_bot
     bot = alphabet.bot
     k = len(non_bot)

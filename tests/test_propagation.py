@@ -62,7 +62,7 @@ def _permute_counts(counts, perm):
 def old_enumerate_c_families(alphabet, horizon, with_c6=False):
     """The family value tuples, in canonical order."""
     k = len(alphabet.non_bot)
-    sigs = [s.counts for s in signatures_up_to(alphabet, horizon)]
+    sigs = list(signatures_up_to(alphabet, horizon))
     position = {s: i for i, s in enumerate(sigs)}
     perms = list(itertools.permutations(range(k)))
     non_bot = alphabet.non_bot
@@ -171,7 +171,7 @@ def test_three_alternatives_h6_with_c6_keeps_14_families():
 def _restrict(family_set, horizon):
     """The horizon-``horizon`` restrictions of the families, deduplicated and
     in canonical order."""
-    sigs = [sig.counts for sig in signatures_up_to(family_set.alphabet, horizon)]
+    sigs = list(signatures_up_to(family_set.alphabet, horizon))
     restricted = {}
     for fam in family_set.families:
         full = table_of(fam)

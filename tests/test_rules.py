@@ -13,6 +13,9 @@ from votelab.core import (
     apply_alt_permutation,
     apply_voter_permutation,
     extend,
+    signature,
+    signature_positions,
+    signatures_up_to,
     strict_plurality,
     tally,
 )
@@ -235,6 +238,23 @@ class TestTabulated:
     def test_rule_wrapper_descriptor_is_stable(self):
         fam = pure_majority_table(AB2, 4)
         assert TabulatedRule(fam).descriptor == TabulatedRule(fam).descriptor
+
+    @pytest.mark.parametrize("alphabet", [AB2, Alphabet.make(3)], ids=["k=2", "k=3"])
+    def test_a_profiles_signature_keys_the_cell_its_rule_reads(self, alphabet):
+        # one table per position, an alternative there and the tie symbol
+        # elsewhere: a profile reads the one cell its signature keys
+        first, bot = alphabet.non_bot[0], alphabet.bot
+        for h in range(5):
+            positions = signature_positions(alphabet, h)
+            size = len(positions)
+            one_hot = [TabulatedRule(TabulatedFamily(alphabet, h, (bot,) * i + (first,)
+                                                     + (bot,) * (size - 1 - i)))
+                       for i in range(size)]
+            for p in profiles_up_to(alphabet, h):
+                at = positions[signature(p)]
+                assert signatures_up_to(alphabet, h)[at] == signature(p)
+                expected = [bot] * at + [first] + [bot] * (size - 1 - at)
+                assert [rule.evaluate(p) for rule in one_hot] == expected
 
 
 def symmetry_rules():
