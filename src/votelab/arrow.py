@@ -181,16 +181,12 @@ class TabulatedSWF(SWF):
         if len(values) != len(domain.profiles):
             raise ValueError(f"a table over {n} voters needs one order for each of "
                              f"{len(domain.profiles)} profiles, got {len(values)}")
-        try:
-            indices = bytes(map(domain.at.__getitem__, map(id, values)))
-        except KeyError:
-            found = list(map(domain.find, values))
-            if None in found:
-                code = found.index(None)
-                raise ValueError(f"the value at profile code {code}, {values[code]!r}, is "
-                                 f"not one of the weak orders on {alternatives}") from None
-            indices = bytes(found)
-        self._fill(alternatives, n, indices, descriptor)
+        found = list(map(domain.find, values))
+        if None in found:
+            code = found.index(None)
+            raise ValueError(f"the value at profile code {code}, {values[code]!r}, is "
+                             f"not one of the weak orders on {alternatives}")
+        self._fill(alternatives, n, bytes(found), descriptor)
 
     @classmethod
     def _of_indices(cls, alternatives: tuple[str, ...], n: int, indices: bytes) -> TabulatedSWF:

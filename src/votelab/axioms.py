@@ -52,9 +52,11 @@ tested on raw profiles, never through the count-signature quotient, so a bug in
 the signature representation cannot mask a violation.  The table is indexed by
 raw profiles, and the ballot-multiset classes of C3 are keyed by per-code
 counts over every alternative, tie included, never by ``core.signature``.
-Every checker and :func:`audit` refuse, with BoundError and before any
-evaluation, a negative bound and one over ``core.PROFILE_BUDGET``; C4, C5 and
-TIE_CLOSURE, which extend the profiles below the bound, also refuse 0.
+Every checker scans its sizes through ``_sweep``, the one loop over profile
+sizes and the one place a checker refuses a bound, with BoundError and before
+any evaluation: a negative bound, one over ``core.PROFILE_BUDGET``, and one
+that leaves no size to scan (0 for C4, C5 and TIE_CLOSURE, which extend the
+profiles below the bound).  :func:`audit` refuses them before any checker.
 """
 
 from __future__ import annotations
@@ -219,12 +221,8 @@ class Outcomes:
         return read
 
     def digit(self, symbol: str) -> int:
-        """The digit of a ballot symbol; ValueError, as from ``core.extend``,
-        for a symbol outside the alphabet."""
-        try:
-            return self._digit[symbol]
-        except KeyError:
-            raise ValueError(f"symbol {symbol!r} not in alphabet") from None
+        """The digit of a ballot symbol; KeyError for a symbol outside the alphabet."""
+        return self._digit[symbol]
 
     def profile(self, size: int, code: int) -> Profile:
         """The profile at ``code``, its two halves looked up among the ballot
@@ -292,15 +290,32 @@ def _relabelings(alphabet: Alphabet) -> tuple[AltPermutation, ...]:
                  if images != alphabet.non_bot)
 
 
-def _table(rule: RuleFamily, n_max: int, sizes: range, outcomes: Outcomes | None) -> Outcomes:
-    """``outcomes``, or a new table for ``rule``, once the profile sizes a
-    checker reads are within budget (a negative bound raises there too)."""
-    profile_budget(rule.alphabet, n_max, sizes)
+def _sweep(rule: RuleFamily, axiom: str, n_max: int, sizes: range, reads: range,
+           outcomes: Outcomes | None,
+           scan: Callable[[Outcomes, int], tuple[Witness | None, int]]) -> CheckResult:
+    """The one loop over profile sizes.  Once the sizes the check ``reads`` are
+    within budget (a negative bound raises there too), ``outcomes`` belongs to
+    ``rule`` (or a new table is made) and ``sizes`` is not empty,
+    ``scan(table, size)`` gives each size's witness or None and its profile
+    count, up to the first witness."""
+    profile_budget(rule.alphabet, n_max, reads)
     if outcomes is None:
-        return Outcomes(rule)
-    if outcomes.rule is not rule:
+        outcomes = Outcomes(rule)
+    elif outcomes.rule is not rule:
         raise ValueError("the outcome table belongs to another rule")
-    return outcomes
+    _require_extensible(axiom, n_max, sizes)
+    checked = 0
+    for size in sizes:
+        witness, count = scan(outcomes, size)
+        checked += count
+        if witness is not None:
+            return CheckResult(axiom, "fail", witness, checked)
+    return CheckResult(axiom, "pass", None, checked)
+
+
+def _require_extensible(axiom: str, n_max: int, sizes: range) -> None:
+    if not sizes:  # no profile lies below the bound: the scan would pass vacuously
+        raise BoundError(f"{axiom} extends the profiles below max voters {n_max}: none")
 
 
 # --- checkers ---------------------------------------------------------------
@@ -316,15 +331,9 @@ def _require_checkable(alphabet: Alphabet) -> None:
 def check_c2(rule: RuleFamily, n_max: int, *, outcomes: Outcomes | None = None) -> CheckResult:
     """Neutrality: relabeling non-tie alternatives relabels the outcome."""
     _require_checkable(rule.alphabet)
-    table = _table(rule, n_max, range(n_max + 1), outcomes)
     perms = _relabelings(rule.alphabet)
-    checked = 0
-    for size in range(n_max + 1):
-        witness, count = _relabel_scan(table, size, perms, C2)
-        checked += count
-        if witness is not None:
-            return CheckResult(C2, "fail", witness, checked)
-    return CheckResult(C2, "pass", None, checked)
+    return _sweep(rule, C2, n_max, range(n_max + 1), range(n_max + 1), outcomes,
+                  lambda table, size: _relabel_scan(table, size, perms, C2))
 
 
 def _relabel_scan(
@@ -370,14 +379,8 @@ def check_c3(rule: RuleFamily, n_max: int, *, outcomes: Outcomes | None = None) 
     quadratic profile-times-permutation loop, witness included.
     """
     _require_checkable(rule.alphabet)
-    table = _table(rule, n_max, range(n_max + 1), outcomes)
-    checked = 0
-    for size in range(n_max + 1):
-        witness, count = _multiset_scan(table, size, C3)
-        checked += count
-        if witness is not None:
-            return CheckResult(C3, "fail", witness, checked)
-    return CheckResult(C3, "pass", None, checked)
+    return _sweep(rule, C3, n_max, range(n_max + 1), range(n_max + 1), outcomes,
+                  lambda table, size: _multiset_scan(table, size, C3))
 
 
 def _multiset_scan(table: Outcomes, size: int, axiom: str) -> tuple[Witness | None, int]:
@@ -407,30 +410,17 @@ def _multiset_scan(table: Outcomes, size: int, axiom: str) -> tuple[Witness | No
     raise AssertionError("an offending class holds another outcome")
 
 
-def _require_extensible(axiom: str, n_max: int) -> None:
-    if n_max < 1:  # no profile lies below the bound: the scan would pass vacuously
-        raise BoundError(f"{axiom} extends the profiles below max voters {n_max}: none")
-
-
-def _extension_scan(
-    rule: RuleFamily,
-    n_max: int,
-    outcomes: Outcomes | None,
-    axiom: str,
-    joining: Callable[[str], str | None],
-    broken: Callable[[str, str], bool],
-) -> CheckResult:
+def _extension_check(rule: RuleFamily, n_max: int, outcomes: Outcomes | None, axiom: str,
+                     joining: Callable[[str], str | None],
+                     broken: Callable[[str, str], bool]) -> CheckResult:
     """One voter joins every profile below ``n_max`` with the ballot
     ``joining(outcome)`` (None: no move); ``broken(before, after)`` fails it."""
     _require_checkable(rule.alphabet)
-    table = _table(rule, n_max, range(n_max + 1), outcomes)
-    _require_extensible(axiom, n_max)
-    k, digit = table.k, table._digit  # every outcome read is a symbol of the alphabet
-    checked = 0
-    for size in range(n_max):
+
+    def scan(table: Outcomes, size: int) -> tuple[Witness | None, int]:
+        k, digit = table.k, table._digit  # every outcome read is a symbol of the alphabet
         read, read_joined = table.reader(size), table.reader(size + 1)
         for code in range(k ** size):
-            checked += 1
             before = read(code)
             ballot = joining(before)
             if ballot is None:
@@ -438,17 +428,18 @@ def _extension_scan(
             joined = code * k + digit[ballot]
             after = read_joined(joined)
             if broken(before, after):
-                w = Witness(axiom, table.profile(size, code), table.profile(size + 1, joined),
-                            expected=before, observed=after)
-                return CheckResult(axiom, "fail", w, checked)
-    return CheckResult(axiom, "pass", None, checked)
+                return Witness(axiom, table.profile(size, code), table.profile(size + 1, joined),
+                               expected=before, observed=after), code + 1
+        return None, k ** size
+
+    return _sweep(rule, axiom, n_max, range(n_max), range(n_max + 1), outcomes, scan)
 
 
 def check_c4(rule: RuleFamily, n_max: int, *, outcomes: Outcomes | None = None) -> CheckResult:
     """Tie-ballot invariance: an added abstention never changes the outcome."""
     bot = rule.alphabet.bot
-    return _extension_scan(rule, n_max, outcomes, C4,
-                           lambda outcome: bot, lambda before, after: after != before)
+    return _extension_check(rule, n_max, outcomes, C4,
+                            lambda outcome: bot, lambda before, after: after != before)
 
 
 def check_c5(rule: RuleFamily, n_max: int, *, outcomes: Outcomes | None = None) -> CheckResult:
@@ -457,8 +448,8 @@ def check_c5(rule: RuleFamily, n_max: int, *, outcomes: Outcomes | None = None) 
     When the outcome is the tie symbol this coincides with the C4 move and is
     checked here as well.
     """
-    return _extension_scan(rule, n_max, outcomes, C5,
-                           lambda outcome: outcome, lambda before, after: after != before)
+    return _extension_check(rule, n_max, outcomes, C5,
+                            lambda outcome: outcome, lambda before, after: after != before)
 
 
 def check_c6(rule: RuleFamily, n_max: int, *, outcomes: Outcomes | None = None) -> CheckResult:
@@ -467,78 +458,66 @@ def check_c6(rule: RuleFamily, n_max: int, *, outcomes: Outcomes | None = None) 
     Probes extensions of size n_max + 1, so the rule must be evaluable there.
     """
     _require_checkable(rule.alphabet)
-    table = _table(rule, n_max, range(n_max + 2), outcomes)
     bot = rule.alphabet.bot
-    k = table.k
-    checked = 0
-    for size in range(n_max + 1):
+
+    def scan(table: Outcomes, size: int) -> tuple[Witness | None, int]:
+        k = table.k
         read, read_joined = table.reader(size), table.reader(size + 1)
         for code in range(k ** size):
-            checked += 1
-            if read(code) != bot:
+            if read(code) == bot and all(read_joined(code * k + d) == bot for d in range(k)):
+                return Witness(C6, table.profile(size, code), None,
+                               expected=None, observed=bot), code + 1
+        return None, k ** size
+
+    return _sweep(rule, C6, n_max, range(n_max + 1), range(n_max + 2), outcomes, scan)
+
+
+def _expected_check(rule: RuleFamily, n_max: int, outcomes: Outcomes | None, axiom: str,
+                    expect: Callable[[tuple[int, ...]], str | None]) -> CheckResult:
+    """Each profile's outcome must be the tie or ``expect(counts)`` of its
+    ballot multiset (None: no constraint, and the outcome is not read)."""
+    _require_checkable(rule.alphabet)
+    bot = rule.alphabet.bot
+
+    def scan(table: Outcomes, size: int) -> tuple[Witness | None, int]:
+        read, counts = table.reader(size), _counts(table.k, size)
+        expected_at = {c: expect(c) for c in dict.fromkeys(counts)}  # per ballot multiset
+        for code, expected in enumerate(map(expected_at.__getitem__, counts)):
+            if expected is None:
                 continue
-            if any(read_joined(code * k + d) != bot for d in range(k)):
-                continue
-            w = Witness(C6, table.profile(size, code), None, expected=None, observed=bot)
-            return CheckResult(C6, "fail", w, checked)
-    return CheckResult(C6, "pass", None, checked)
+            outcome = read(code)
+            if outcome != bot and outcome != expected:
+                return Witness(axiom, table.profile(size, code), None,
+                               expected=expected, observed=outcome), code + 1
+        return None, len(counts)
+
+    return _sweep(rule, axiom, n_max, range(n_max + 1), range(n_max + 1), outcomes, scan)
 
 
 def check_plurality_property(
     rule: RuleFamily, n_max: int, *, outcomes: Outcomes | None = None
 ) -> CheckResult:
     """Conclusive outcomes must be the strict plurality winner."""
-    _require_checkable(rule.alphabet)
-    table = _table(rule, n_max, range(n_max + 1), outcomes)
     alphabet = rule.alphabet
     bot, non_bot = alphabet.bot, alphabet.non_bot
     bot_at = alphabet.index(bot)
-    winners: dict[tuple[int, ...], str] = {}  # per ballot multiset: the winner, or bot
-    checked = 0
-    for size in range(n_max + 1):
-        read = table.reader(size)
-        for code, counts in enumerate(_counts(table.k, size)):
-            checked += 1
-            outcome = read(code)
-            if outcome == bot:
-                continue
-            if counts not in winners:
-                non_tie = counts[:bot_at] + counts[bot_at + 1:]
-                winners[counts] = plurality_winner(non_bot, non_tie, bot)
-            expected = winners[counts]
-            if expected != outcome:
-                w = Witness(PLURALITY_PROPERTY, table.profile(size, code), None,
-                            expected=expected, observed=outcome)
-                return CheckResult(PLURALITY_PROPERTY, "fail", w, checked)
-    return CheckResult(PLURALITY_PROPERTY, "pass", None, checked)
+    return _expected_check(
+        rule, n_max, outcomes, PLURALITY_PROPERTY,
+        lambda counts: plurality_winner(non_bot, counts[:bot_at] + counts[bot_at + 1:], bot))
 
 
 def check_unavoidable_ties(
     rule: RuleFamily, n_max: int, *, outcomes: Outcomes | None = None
 ) -> CheckResult:
     """A shared top count forces the tie outcome."""
-    _require_checkable(rule.alphabet)
-    table = _table(rule, n_max, range(n_max + 1), outcomes)
-    bot = rule.alphabet.bot
-    non_bot = [table.digit(s) for s in rule.alphabet.non_bot]
-    shared: dict[tuple[int, ...], bool] = {}  # top count shared, per ballot multiset
-    checked = 0
-    for size in range(n_max + 1):
-        read = table.reader(size)
-        for code, counts in enumerate(_counts(table.k, size)):
-            checked += 1
-            tied = shared.get(counts)
-            if tied is None:
-                tops = [counts[d] for d in non_bot]
-                tied = shared[counts] = tops.count(max(tops)) >= 2
-            if not tied:
-                continue
-            outcome = read(code)
-            if outcome != bot:
-                w = Witness(UNAVOIDABLE_TIES, table.profile(size, code), None,
-                            expected=bot, observed=outcome)
-                return CheckResult(UNAVOIDABLE_TIES, "fail", w, checked)
-    return CheckResult(UNAVOIDABLE_TIES, "pass", None, checked)
+    alphabet = rule.alphabet
+    non_bot = list(map(alphabet.index, alphabet.non_bot))
+
+    def expect(counts: tuple[int, ...]) -> str | None:
+        tops = [counts[d] for d in non_bot]
+        return alphabet.bot if tops.count(max(tops)) >= 2 else None
+
+    return _expected_check(rule, n_max, outcomes, UNAVOIDABLE_TIES, expect)
 
 
 def check_tie_closure(
@@ -550,9 +529,9 @@ def check_tie_closure(
     be tested rather than assumed.
     """
     bot = rule.alphabet.bot
-    return _extension_scan(rule, n_max, outcomes, TIE_CLOSURE,
-                           lambda outcome: None if outcome == bot else outcome,
-                           lambda before, after: after == bot)
+    return _extension_check(rule, n_max, outcomes, TIE_CLOSURE,
+                            lambda outcome: None if outcome == bot else outcome,
+                            lambda before, after: after == bot)
 
 
 def _require_may(rule: RuleFamily) -> None:
@@ -564,18 +543,16 @@ def _require_may(rule: RuleFamily) -> None:
 def check_ma2(rule: RuleFamily, n: int, *, outcomes: Outcomes | None = None) -> CheckResult:
     """May's symmetry at exact size n: full voter-permutation invariance."""
     _require_may(rule)
-    table = _table(rule, n, range(n, n + 1), outcomes)
-    witness, checked = _multiset_scan(table, n, MA2)
-    return CheckResult(MA2, "pass" if witness is None else "fail", witness, checked)
+    return _sweep(rule, MA2, n, range(n, n + 1), range(n, n + 1), outcomes,
+                  lambda table, size: _multiset_scan(table, size, MA2))
 
 
 def check_ma3(rule: RuleFamily, n: int, *, outcomes: Outcomes | None = None) -> CheckResult:
     """May's neutrality at exact size n: negating every ballot negates the outcome."""
     _require_may(rule)
-    table = _table(rule, n, range(n, n + 1), outcomes)
-    negate = AltPermutation.swap(rule.alphabet, "-1", "1")
-    witness, checked = _relabel_scan(table, n, (negate,), MA3)
-    return CheckResult(MA3, "pass" if witness is None else "fail", witness, checked)
+    negate = (AltPermutation.swap(rule.alphabet, "-1", "1"),)
+    return _sweep(rule, MA3, n, range(n, n + 1), range(n, n + 1), outcomes,
+                  lambda table, size: _relabel_scan(table, size, negate, MA3))
 
 
 def check_ma4(
@@ -591,33 +568,34 @@ def check_ma4(
     _require_may(rule)
     if semantics not in ("flip", "in_favor"):
         raise VoteLabError(f"unknown Ma4 semantics {semantics!r}")
-    table = _table(rule, n, range(n, n + 1), outcomes)
-    k = table.k
     value = [int(s) for s in rule.alphabet.alternatives]
-    # per voter and old ballot: each new ballot's code step and direction
-    moves = [[[((new - old) * k ** (n - 1 - v), "1" if value[new] > value[old] else "-1")
-               for new in range(k)
-               if new != old and (semantics == "in_favor" or value[new] == -value[old])]
-              for old in range(k)] for v in range(n)]
-    # per old outcome, the moves it constrains: all from the tie, else its direction's
-    constrained = {fx: [[[(step, direction) for step, direction in by_old
-                          if fx in ("0", direction)] for by_old in by_voter] for by_voter in moves]
-                   for fx in rule.alphabet.alternatives}
-    read = table.reader(n)
-    checked = 0
-    for code, digits in enumerate(itertools.product(range(k), repeat=n)):
-        checked += 1
-        fx = read(code)
-        fx_moves = constrained[fx]
-        for v, old in enumerate(digits):
-            for step, direction in fx_moves[v][old]:
-                moved = code + step
-                observed = read(moved)
-                if observed != direction:
-                    w = Witness(MA4, table.profile(n, code), table.profile(n, moved),
-                                expected=direction, observed=observed)
-                    return CheckResult(MA4, "fail", w, checked)
-    return CheckResult(MA4, "pass", None, checked)
+
+    def scan(table: Outcomes, size: int) -> tuple[Witness | None, int]:
+        k = table.k
+        # per voter and old ballot: each new ballot's code step and direction
+        moves = [[[((new - old) * k ** (size - 1 - v), "1" if value[new] > value[old] else "-1")
+                   for new in range(k)
+                   if new != old and (semantics == "in_favor" or value[new] == -value[old])]
+                  for old in range(k)] for v in range(size)]
+        # per old outcome, the moves it constrains: all from the tie, else its direction's
+        constrained = {fx: [[[(step, direction) for step, direction in by_old
+                              if fx in ("0", direction)] for by_old in by_voter]
+                            for by_voter in moves]
+                       for fx in rule.alphabet.alternatives}
+        read = table.reader(size)
+        for code, digits in enumerate(itertools.product(range(k), repeat=size)):
+            fx = read(code)
+            fx_moves = constrained[fx]
+            for v, old in enumerate(digits):
+                for step, direction in fx_moves[v][old]:
+                    moved = code + step
+                    observed = read(moved)
+                    if observed != direction:
+                        return Witness(MA4, table.profile(size, code), table.profile(size, moved),
+                                       expected=direction, observed=observed), code + 1
+        return None, k ** size
+
+    return _sweep(rule, MA4, n, range(n, n + 1), range(n, n + 1), outcomes, scan)
 
 
 @dataclass(frozen=True)
@@ -744,7 +722,7 @@ def audit(
         if a not in ALL_AXIOMS:
             raise VoteLabError(f"unknown axiom {a!r}")
         if a in (C4, C5, TIE_CLOSURE):
-            _require_extensible(a, n_max)
+            _require_extensible(a, n_max, range(n_max))
     outcomes = Outcomes(rule)
     results = []
     for axiom in ALL_AXIOMS:
@@ -780,10 +758,9 @@ def _run_one(
     if axiom not in MA_AXIOMS:
         return check(rule, n_max, outcomes=outcomes)
     # May checks quantify over exact sizes; audit sweeps every size in bounds.
-    checked = 0
-    for n in range(n_max + 1):
-        res = check(rule, n, outcomes=outcomes)
-        checked += res.profiles_checked
-        if res.status != "pass":
-            return CheckResult(axiom, res.status, res.witness, checked, res.error)
-    return CheckResult(axiom, "pass", None, checked)
+
+    def scan(table: Outcomes, n: int) -> tuple[Witness | None, int]:
+        res = check(rule, n, outcomes=table)
+        return res.witness, res.profiles_checked
+
+    return _sweep(rule, axiom, n_max, range(n_max + 1), range(n_max + 1), outcomes, scan)

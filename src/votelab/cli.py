@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import sys
 from collections import defaultdict
@@ -151,7 +150,7 @@ def _parse_rank_line(lineno: int, line: str, alphabet: Alphabet) -> WeakOrder:
 
 
 def format_rank_line(order: WeakOrder) -> str:
-    return "rank: " + " > ".join(" = ".join(block) for block in order.blocks)
+    return "rank: " + str(order)
 
 
 # --- rule descriptors -------------------------------------------------------
@@ -306,18 +305,14 @@ def render_document(doc: dict) -> str:
 
     Builders share repeated records as one object, so a container met again at
     the same indent is encoded once: its text is copied from its first visit.
-    A list of such texts is written in one call.  The memos, one per indent, are
-    keyed by ``id`` and live for this call only, while ``doc`` keeps each key's
-    container alive."""
+    The memos, one per indent, are keyed by ``id`` and live for this call only,
+    while ``doc`` keeps each key's container alive."""
     out: list[str] = []
     _write_json(doc, 0, out, defaultdict(dict))
     out.append("\n")
     return "".join(out)
 
 
-# a document repeats its keys, labels and small numbers: encode each once
-_encode_str = functools.lru_cache(maxsize=4096)(encode_basestring_ascii)
-_encode_int = functools.lru_cache(maxsize=4096)(int.__repr__)
 _CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
@@ -336,28 +331,22 @@ def _write_json(value: object, depth: int, out: list[str],
         return
     start, seen, keyed = len(out), memos[depth + 1], isinstance(value, dict)
     sep, comma, close = _layout(depth, keyed)
-    texts = [None] if keyed or id(value[0]) not in seen else list(map(seen.get, map(id, value)))
-    if None not in texts and tuple not in map(type, texts):  # every item's text is at hand
+    for item in value.items() if keyed else value:
         out.append(sep)
-        out += itertools.chain.from_iterable(zip(texts, itertools.repeat(comma)))
-        out.pop()  # the last comma
-    else:
-        for item in value.items() if keyed else value:
-            out.append(sep)
-            sep = comma
-            if keyed:
-                out += _encode_str(item[0]), ": "
-                item = item[1]
-            if type(item) is str:
-                out.append(_encode_str(item))
-            elif type(item) is int:
-                out.append(_encode_int(item))
-            elif (done := seen.get(id(item))) is None:
-                _write_json(item, depth + 1, out, memos)
-            else:
-                if type(done) is tuple:
-                    done = seen[id(item)] = "".join(out[done[0]:done[1]])
-                out.append(done)
+        sep = comma
+        if keyed:
+            out += encode_basestring_ascii(item[0]), ": "
+            item = item[1]
+        if type(item) is str:
+            out.append(encode_basestring_ascii(item))
+        elif type(item) is int:
+            out.append(int.__repr__(item))
+        elif (done := seen.get(id(item))) is None:
+            _write_json(item, depth + 1, out, memos)
+        else:
+            if type(done) is tuple:
+                done = seen[id(item)] = "".join(out[done[0]:done[1]])
+            out.append(done)
     out.append(close)
     memos[depth][id(value)] = start, len(out)
 

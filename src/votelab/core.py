@@ -42,8 +42,6 @@ class Alphabet:
     bot: str
     non_bot: tuple[str, ...] = field(init=False, repr=False, compare=False)
     """The non-tie symbols in alphabet order, stored once at construction."""
-    symbol_set: frozenset[str] = field(init=False, repr=False, compare=False)
-    """Every symbol, for one-call membership tests of a whole ballot tuple."""
 
     def __post_init__(self) -> None:
         if len(set(self.alternatives)) != len(self.alternatives):
@@ -54,7 +52,6 @@ class Alphabet:
             raise ValueError("alphabet needs at least one non-tie alternative")
         object.__setattr__(self, "non_bot",
                            tuple(s for s in self.alternatives if s != self.bot))
-        object.__setattr__(self, "symbol_set", frozenset(self.alternatives))
 
     def __contains__(self, symbol: str) -> bool:
         return symbol in self.alternatives
@@ -86,11 +83,6 @@ class Profile:
     ballots: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        try:
-            if self.alphabet.symbol_set.issuperset(self.ballots):
-                return
-        except TypeError:  # an unhashable ballot: the loop below names it
-            pass
         alternatives = self.alphabet.alternatives
         for b in self.ballots:
             if b not in alternatives:

@@ -300,3 +300,15 @@ def test_borda_matches_the_stance_rule(alternatives, n):
     results = [(outcome(new, x), outcome(old, x)) for x in mixed]
     assert all(got == want for got, want in results)
     assert any(isinstance(got, tuple) and got[0] is KeyError for got, _ in results)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: enumerate_weak_orders(()), "need at least one alternative"),
+    (lambda: enumerate_weak_orders(("a", "b", "a")), "alternatives must be distinct"),
+    (lambda: projection_swf(ALTS, 2, 2), "voter index out of range"),
+    (lambda: projection_swf(ALTS, 2, -1), "voter index out of range"),
+], ids=["no-alternatives", "repeated-alternative", "voter-past-the-end", "negative-voter"])
+def test_refusals_raise_value_error(call, message):
+    with pytest.raises(ValueError, match=message) as raised:
+        call()
+    assert raised.type is ValueError

@@ -440,6 +440,21 @@ class TestBounds:
             check(rule, 20)
         assert calls == []
 
+    @pytest.mark.parametrize("n_max", [0, 1])
+    @pytest.mark.parametrize("check", ALL_CHECKERS, ids=lambda c: c.__name__)
+    def test_no_checker_passes_vacuously(self, check, n_max):
+        rule = MaySignRule() if check.__name__.startswith("check_ma") else PureMajorityRule(AB2)
+        try:
+            result = check(rule, n_max)
+        except BoundError:
+            return
+        assert result.profiles_checked > 0
+
+    def test_unknown_ma4_semantics_is_refused(self):
+        with pytest.raises(VoteLabError, match="unknown Ma4 semantics 'sideways'") as raised:
+            check_ma4(MaySignRule(), 2, "sideways")
+        assert raised.type is VoteLabError
+
     def test_audit_budget_counts_the_c6_probes(self):
         # 3 ballot symbols at n=11: 265,720 profiles, 797,161 with the n=12 probes
         assert profile_budget(AB2, 11, range(12)) == 265_720

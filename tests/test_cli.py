@@ -205,6 +205,43 @@ class TestEvalCommand:
                      "alternatives: a,b,c,_ bot: _\nrank: a > b > c\n")
         assert main(["eval", "--rule", "pure-majority", "--profile", path]) == 2
 
+    @pytest.mark.parametrize("ballots, rule, family, message", [
+        ("alternatives a,b,_\na\n", "pure-majority", None, "line 1: header must be"),
+        ("alternatives: , bot: _\na\n", "pure-majority", None, "declares no alternatives"),
+        ("alternatives: a,b bot:\na\n", "pure-majority", None, "declares no tie symbol"),
+        ("alternatives: a,a,_ bot: _\na\n", "pure-majority", None, "pairwise distinct"),
+        ("alternatives: a,b,_ bot: _\na b\n", "pure-majority", None,
+         "line 2: a ballot line holds exactly one symbol"),
+        ("alternatives: a,b,_ bot: _\na\nrank: a > b\n", "pure-majority", None,
+         "line 3: cannot mix rank and single-choice ballots"),
+        ("alternatives: a,b,_ bot: _\nrank:\n", "pure-majority", None, "empty rank line"),
+        ("alternatives: a,b,_ bot: _\nrank: a > > b\n", "pure-majority", None,
+         "malformed rank line"),
+        ("alternatives: a,b,_ bot: _\nrank: a > _\n", "pure-majority", None,
+         "rank symbol '_' must be a declared non-tie alternative"),
+        (SIMPLE, "supermajority:all:1/0", None, "bad supermajority quota '1/0'"),
+        ("alternatives: a,b,c,_ bot: _\na\n", "tabulated:{family}", "pure-majority",
+         "tabulated family alphabet differs"),
+        (SIMPLE, "tabulated:{family}", "missing", "cannot read tabulated family file"),
+        (SIMPLE, "tabulated:{family}", "{not json", "tabulated family file is not valid JSON"),
+        (SIMPLE, "tabulated:{family}", '{"schema": 1}', "malformed tabulated family document"),
+    ], ids=["header-syntax", "no-alternatives", "no-tie-symbol", "repeated-symbol",
+            "two-symbols", "rank-after-choices", "empty-rank", "malformed-rank",
+            "tie-in-rank", "supermajority-quota", "family-alphabet", "family-missing",
+            "family-not-json", "family-lacks-key"])
+    def test_input_errors_exit_2_and_name_the_problem(self, tmp_path, capsys, ballots, rule,
+                                                      family, message):
+        fam_path = str(tmp_path / "fam.json")
+        if family == "pure-majority":
+            write(tmp_path, "fam.json", json.dumps(family_json(pure_majority_table(AB2, 2))))
+        elif family not in (None, "missing"):
+            write(tmp_path, "fam.json", family)
+        path = write(tmp_path, "p.txt", ballots)
+        assert main(["eval", "--rule", rule.format(family=fam_path), "--profile", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_horizon_error_exits_3(self, tmp_path, capsys):
         fam = pure_majority_table(AB2, 2)
         fam_path = write(tmp_path, "fam.json", json.dumps(family_json(fam)))

@@ -308,3 +308,15 @@ def test_relabeling_relabels_tally(p, rng):
     relabeled = tally(apply_alt_permutation(p, perm))
     for s in p.alphabet.alternatives:
         assert relabeled.count(perm.apply(s)) == tally(p).count(s)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Alphabet.make(2, bot="a"), ValueError, "collides with a generated alternative"),
+    (lambda: AltPermutation(AB2, ("a", "a", "_")), ValueError, "not a bijection"),
+    (lambda: apply_alt_permutation(Profile(AB2, ("a",)), AltPermutation.swap(AB3, "a", "b")),
+     ValueError, "permutation alphabet differs"),
+], ids=["colliding-tie-symbol", "non-bijective-permutation", "permutation-of-another-alphabet"])
+def test_refusals_raise_their_class(call, error, message):
+    with pytest.raises(error, match=message) as raised:
+        call()
+    assert raised.type is error

@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 from votelab.core import (
-    Alphabet, BoundError, Profile, RuleDomainError, profiles_of_size, signatures_up_to,
+    Alphabet, BoundError, Profile, RuleDomainError, VoteLabError, profiles_of_size,
+    signatures_up_to,
 )
 from votelab.rules import (
     PureMajorityRule,
@@ -334,3 +335,19 @@ class TestMaximalElements:
         for fam in maximal:
             if fam.value_tuple() != pm:
                 assert fam.value_tuple() in artifact_values
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: FamilySet(AB2, 2, enumerate_c_families(AB2, 2).families[::-1]),
+     ValueError, "sorted and pairwise distinct"),
+    (lambda: FamilySet(AB2, 2, enumerate_c_families(AB2, 2).families[:1] * 2),
+     ValueError, "sorted and pairwise distinct"),
+    (lambda: rule_leq(PureMajorityRule(AB2), PureMajorityRule(Alphabet.make(3)), 2),
+     VoteLabError, "share an alphabet"),
+    (lambda: enumerate_may_functions(2, "sideways"), VoteLabError, "unknown Ma4 semantics"),
+], ids=["unsorted-family-set", "duplicated-family-set", "rules-over-two-alphabets",
+        "unknown-ma4-semantics"])
+def test_refusals_raise_their_class(call, error, message):
+    with pytest.raises(error, match=message) as raised:
+        call()
+    assert raised.type is error

@@ -326,3 +326,14 @@ def test_a_profile_over_a_foreign_alphabet_is_refused(rule):
     for ballots in [(), (foreign.bot,), foreign.alternatives]:
         with pytest.raises(RuleDomainError):
             rule.evaluate(Profile(foreign, ballots))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: QuorumRule(AB2, 2, "majority"), "unknown quorum mode 'majority'"),
+    (lambda: SupermajorityRule(AB2, Fraction(0), "all"), "strictly between 0 and 1"),
+    (lambda: SupermajorityRule(AB2, Fraction(1), "nonbot"), "strictly between 0 and 1"),
+], ids=["quorum-mode", "quota-0", "quota-1"])
+def test_ill_formed_rules_are_refused(call, message):
+    with pytest.raises(RuleDomainError, match=message) as raised:
+        call()
+    assert raised.type is RuleDomainError
