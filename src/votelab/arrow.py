@@ -641,22 +641,11 @@ def factor_into_pair_functions(
 _MONOTONE = tuple((lo, hi) for lo in range(3) for hi in range(lo, 3))  # value bits
 
 
-def arrow_search(n: int = 2, alternatives: tuple[str, ...] = ("a", "b", "c")) -> tuple[TabulatedSWF, ...]:
-    """All SWFs satisfying soundness, responsiveness, pair independence and
-    non-imposition, by constraint propagation; desk scale only.
-
-    Pair independence makes every candidate factor into three pair functions
-    on ((a,b), (b,c), (a,c)): one variable per pair and stance vector, a mask
-    over the stances (bit stance + 1).  Responsiveness makes each pair function
-    monotone (one voter's stance rising never lowers the social stance); under
-    that, non-imposition is exactly f(all +1) = +1 and f(all -1) = -1; and on
-    every profile the three social stances must be one weak order's.  Output
-    is canonically sorted and independent of processing order.
-    """
-    if (isinstance(n, bool) or not isinstance(n, int) or n not in (1, 2, 3)
-            or len(alternatives) != 3):
-        raise BoundError("search is desk-scale only: 1 to 3 voters, exactly 3 alternatives")
-
+@functools.lru_cache(maxsize=None)
+def _search_network(alternatives: tuple[str, ...], n: int) -> tuple[
+        tuple[int, ...], core.Rows, tuple[bytes, ...], bytes]:
+    """:func:`arrow_search`'s root masks and rows, each pair's stance vector code
+    per profile, and the order index of each stance triple code."""
     domain = _tables(alternatives, n)
     a, b, c = alternatives
     pairs = [domain.pair_index[q] for q in ((a, b), (b, c), (a, c))]
@@ -680,8 +669,30 @@ def arrow_search(n: int = 2, alternatives: tuple[str, ...] = ("a", "b", "c")) ->
     order_at = bytearray(b"\xff" * 256)
     for i, (ab, bc, ac) in enumerate(triples):
         order_at[9 * ab + 3 * bc + ac] = i
+    return tuple(masks), tuple(map(tuple, watch)), tuple(keys), bytes(order_at)
+
+
+def arrow_search(n: int = 2, alternatives: tuple[str, ...] = ("a", "b", "c")) -> tuple[TabulatedSWF, ...]:
+    """All SWFs satisfying soundness, responsiveness, pair independence and
+    non-imposition, by constraint propagation; desk scale only.
+
+    Pair independence makes every candidate factor into three pair functions
+    on ((a,b), (b,c), (a,c)): one variable per pair and stance vector, a mask
+    over the stances (bit stance + 1).  Responsiveness makes each pair function
+    monotone (one voter's stance rising never lowers the social stance); under
+    that, non-imposition is exactly f(all +1) = +1 and f(all -1) = -1; and on
+    every profile the three social stances must be one weak order's.  Output
+    is canonically sorted and independent of processing order.  The network is
+    built once per domain, on first use, and shared by later calls in the
+    process.
+    """
+    if (isinstance(n, bool) or not isinstance(n, int) or n not in (1, 2, 3)
+            or len(alternatives) != 3):
+        raise BoundError("search is desk-scale only: 1 to 3 voters, exactly 3 alternatives")
+    masks, watch, keys, order_at = _search_network(alternatives, n)
+    size = 3 ** n
     found = set()  # each solution's social order index on every profile
-    for m in core.solutions(masks, watch, 3):
+    for m in core.solutions(list(masks), watch, 3):
         # per pair, each profile's social stance + 1, times 9, 3 or 1, by
         # translating its stance vector code; the three are added as
         # big-endian integers, byte by byte since no byte's sum exceeds 26
@@ -689,6 +700,6 @@ def arrow_search(n: int = 2, alternatives: tuple[str, ...] = ("a", "b", "c")) ->
         for k, (key, weight) in enumerate(zip(keys, (9, 3, 1))):
             social = bytes(weight * (mask.bit_length() - 1) for mask in m[k * size:(k + 1) * size])
             code += int.from_bytes(key.translate(social.ljust(256, b"\0")), "big")
-        found.add(code.to_bytes(len(domain.profiles), "big").translate(order_at))
+        found.add(code.to_bytes(len(keys[0]), "big").translate(order_at))
     # bytes of order indices sort as the tuples of them do; a 255 raises
     return tuple(TabulatedSWF._of_indices(alternatives, n, key) for key in sorted(found))

@@ -15,6 +15,7 @@ import json
 import sys
 from collections import defaultdict
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
@@ -198,7 +199,11 @@ def parse_rule(descriptor: str, alphabet: Alphabet | None) -> RuleFamily:
 # --- tabulated family files -------------------------------------------------
 
 
-_entry = functools.lru_cache(maxsize=4096)(lambda *entry: entry)  # (counts, value), shared
+@functools.lru_cache(maxsize=None)
+def _entry_cells(alphabet: Alphabet, horizon: int) -> tuple[dict[str, tuple], ...]:
+    """Per signature position, each value's ``(counts, value)`` entry."""
+    return tuple({x: (sig, x) for x in alphabet.alternatives}
+                 for sig in signatures_up_to(alphabet, horizon))
 
 
 def family_json(family: TabulatedFamily) -> dict:
@@ -206,26 +211,26 @@ def family_json(family: TabulatedFamily) -> dict:
     tuple, one object for every family with that cell, so a document of many
     families encodes each entry once per indent (see ``render_document``);
     ``json`` writes a tuple as it writes a list."""
+    cells = _entry_cells(family.alphabet, family.horizon)
     return {
         "schema": 1,
         "kind": "tabulated-family",
         "alternatives": list(family.alphabet.alternatives),
         "bot": family.alphabet.bot,
         "horizon": family.horizon,
-        "entries": [
-            _entry(sig, value)
-            for sig, value in zip(
-                signatures_up_to(family.alphabet, family.horizon), family.value_tuple()
-            )
-        ],
+        "entries": list(map(dict.__getitem__, cells, family.values)),
     }
 
 
 def family_from_json(doc: dict) -> TabulatedFamily:
     try:
+        if (type(doc["schema"]), doc["schema"], doc["kind"]) != (int, 1, "tabulated-family"):
+            raise ValueError("expected schema 1 and kind 'tabulated-family'")
         alphabet = Alphabet(tuple(doc["alternatives"]), doc["bot"])
         horizon = doc["horizon"]
         table = {tuple(counts): value for counts, value in doc["entries"]}
+        if not {int}.issuperset(map(type, chain.from_iterable(table))):
+            raise ValueError("signature counts must be ints")
     except (KeyError, TypeError, ValueError) as exc:
         raise RuleDomainError(f"malformed tabulated family document: {exc}") from exc
     return TabulatedFamily.from_table(alphabet, horizon, table)
@@ -447,6 +452,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     artifact_sigs = {f.value_tuple(): sig for f, sig in artifacts}
     maximal = maximal_elements(fs)
     maximal_ids = {f.value_tuple() for f in maximal}
+    alternatives = list(alphabet.alternatives)
     doc = {
         **_report_header("enumerate"),
         "parameters": {
@@ -455,7 +461,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             "with_c6": args.with_c6,
         },
         "bounds": {
-            "alternatives": list(alphabet.alternatives),
+            "alternatives": alternatives,
             "bot": alphabet.bot,
             "horizon": args.horizon,
             "c6_checked_up_to_total": args.horizon - 1 if args.with_c6 else None,
@@ -472,9 +478,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
                 for f, sig in artifacts
             ],
         },
-        "families": [
+        "families": [  # one alternatives list, written once
             {
                 **family_json(f),
+                "alternatives": alternatives,
                 "maximal": f.value_tuple() in maximal_ids,
                 "plurality_artifact": f.value_tuple() in artifact_sigs,
             }

@@ -302,6 +302,7 @@ def check_values(values: tuple, size: int, allowed: Container) -> None:
 # each, first other most significant).
 
 Watch = list[list[tuple[int, tuple[int, ...], tuple[int, ...]]]]
+Rows = Sequence[Sequence[tuple[int, tuple[int, ...], tuple[int, ...]]]]  # a Watch, or its tuples
 Supports = tuple[tuple[int, ...], ...]
 
 
@@ -337,7 +338,7 @@ def post(watch: Watch, variables: tuple[int, ...], supports: Supports) -> None:
             watch[y].append((x, others, support))
 
 
-def propagate(masks: list[int], watch: Watch, width: int, changed: Iterable[int]) -> bool:
+def propagate(masks: list[int], watch: Rows, width: int, changed: Iterable[int]) -> bool:
     """Narrow ``masks`` in place until every value left has support in every
     constraint on its variable; False as soon as some mask is empty."""
     stack = list(changed)
@@ -355,7 +356,7 @@ def propagate(masks: list[int], watch: Watch, width: int, changed: Iterable[int]
     return True
 
 
-def solutions(masks: list[int], watch: Watch, width: int) -> Iterator[list[int]]:
+def solutions(masks: list[int], watch: Rows, width: int) -> Iterator[list[int]]:
     """Every assignment the constraints allow, as one-bit masks, in lexicographic
     order: propagate to a fixpoint, then branch on the first variable left open,
     its values in increasing order.  A branch is propagated when it is taken,

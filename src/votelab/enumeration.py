@@ -4,13 +4,16 @@ conclusiveness order among rules with maximality checks.
 Both enumerators pose their axioms as constraints for the one search core,
 :func:`core.solutions`, over canonical domains (count triples for the
 two-option setting, count signatures for the general one), and emit
-canonically sorted, deterministic family sets.  Enumerator output is meant to
-be cross-checked against the raw-profile checkers in :mod:`votelab.axioms`,
-which are implemented independently.
+canonically sorted, deterministic family sets.  Each search's constraint
+network is built once per domain, on first use, and shared by later calls in
+the process; a search narrows a copy of its root masks.  Enumerator output is
+meant to be cross-checked against the raw-profile checkers in
+:mod:`votelab.axioms`, which are implemented independently.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,6 +22,7 @@ from .core import (
     BoundError,
     Profile,
     RuleDomainError,
+    Rows,
     VoteLabError,
     Watch,
     check_values,
@@ -114,6 +118,20 @@ _RESPONSIVE = {d: tuple((a, b) for a in range(3) for b in range(3)
                         if a - 1 not in (0, d) or b - 1 == d) for d in (-1, 1)}
 
 
+@functools.lru_cache(maxsize=None)
+def _may_network(n: int, semantics: str) -> tuple[tuple[int, ...], Rows]:
+    """The root masks and constraint rows of the n-voter May search, built once."""
+    triples = list(compositions(n, 3))
+    position = {t: i for i, t in enumerate(triples)}
+    watch: Watch = [[] for _ in triples]
+    for t in triples:
+        if t[2] > t[0]:
+            post(watch, (position[t], position[t[::-1]]), listed(_MIRROR, 3))
+    for src, dst, direction in _may_moves(n, semantics):
+        post(watch, (position[src], position[dst]), listed(_RESPONSIVE[direction], 3))
+    return tuple(2 if t[0] == t[2] else 7 for t in triples), tuple(map(tuple, watch))
+
+
 def enumerate_may_functions(n: int, semantics: str = "in_favor") -> tuple[MayFunctionTable, ...]:
     """All n-voter tables satisfying symmetry, neutrality and positive
     responsiveness under the chosen responsiveness semantics.
@@ -127,17 +145,9 @@ def enumerate_may_functions(n: int, semantics: str = "in_favor") -> tuple[MayFun
     """
     if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAY_MAX_VOTERS:
         raise BoundError(f"voter count {n!r} outside enumeration bound 1..{MAY_MAX_VOTERS}")
-    triples = list(compositions(n, 3))
-    position = {t: i for i, t in enumerate(triples)}
-    watch: Watch = [[] for _ in triples]
-    for t in triples:
-        if t[2] > t[0]:
-            post(watch, (position[t], position[t[::-1]]), listed(_MIRROR, 3))
-    for src, dst, direction in _may_moves(n, semantics):
-        post(watch, (position[src], position[dst]), listed(_RESPONSIVE[direction], 3))
-    masks = [2 if t[0] == t[2] else 7 for t in triples]
-    found = sorted((MayFunctionTable(n, tuple(m.bit_length() - 2 for m in solution))
-                    for solution in solutions(masks, watch, 3)), key=MayFunctionTable.value_tuple)
+    masks, watch = _may_network(n, semantics)
+    found = sorted((MayFunctionTable(n, tuple(m.bit_length() - 2 for m in s))
+                    for s in solutions(list(masks), watch, 3)), key=MayFunctionTable.value_tuple)
     for table in found:
         _cross_check_may(table, semantics)
     return tuple(found)
@@ -174,6 +184,36 @@ class FamilySet:
             raise ValueError("families must be sorted and pairwise distinct")
 
 
+@functools.lru_cache(maxsize=None)
+def _c_network(alphabet: Alphabet, horizon: int, with_c6: bool) -> tuple[tuple[int, ...], Rows]:
+    """The root masks and constraint rows of the family search, built once."""
+    k = len(alphabet.non_bot)
+    # value 0 is the tie symbol, value j + 1 the alternative non_bot[j]; a
+    # signature valued j + 1 forces its extension by one j ballot to j + 1
+    width = k + 1
+    forward = [listed(tuple((a, b) for a in range(width) for b in range(width)
+                            if a != j + 1 or b == j + 1), width) for j in range(k)]
+    position = signature_positions(alphabet, horizon)
+    watch: Watch = [[] for _ in position]
+    masks = []
+    for i, s in enumerate(position):
+        rep = tuple(sorted(s))  # the least of its orbit
+        if rep == s:  # the swaps fixing s fix its value
+            masks.append(1 + sum(2 << j for j in range(k) if s.count(s[j]) == 1))
+        else:
+            perm = sorted(range(k), key=s.__getitem__)  # sends rep's coordinate j to perm[j]
+            relabel = ((0, 0),) + tuple((j + 1, perm[j] + 1) for j in range(k))
+            post(watch, (position[rep], i), listed(relabel, width))
+            masks.append((1 << width) - 1)
+        if sum(s) < horizon:
+            ext = tuple(position[s[:j] + (s[j] + 1,) + s[j + 1:]] for j in range(k))
+            for supports, e in zip(forward, ext):
+                post(watch, (i, e), supports)
+            if with_c6:
+                post(watch, (i,) + ext, not_all(0, k + 1, width))
+    return tuple(masks), tuple(map(tuple, watch))
+
+
 def enumerate_c_families(alphabet: Alphabet, horizon: int, with_c6: bool = False) -> FamilySet:
     """All tabulated families within the horizon satisfying the consistency
     axioms structurally.
@@ -204,34 +244,10 @@ def enumerate_c_families(alphabet: Alphabet, horizon: int, with_c6: bool = False
     if isinstance(horizon, bool) or not isinstance(horizon, int) \
             or not 0 <= horizon <= MAX_HORIZON:
         raise BoundError(f"horizon {horizon!r} outside bound 0..{MAX_HORIZON}")
-
-    # value 0 is the tie symbol, value j + 1 the alternative non_bot[j]; a
-    # signature valued j + 1 forces its extension by one j ballot to j + 1
-    width = k + 1
-    forward = [listed(tuple((a, b) for a in range(width) for b in range(width)
-                            if a != j + 1 or b == j + 1), width) for j in range(k)]
-    position = signature_positions(alphabet, horizon)
-    watch: Watch = [[] for _ in position]
-    masks = []
-    for i, s in enumerate(position):
-        rep = tuple(sorted(s))  # the least of its orbit
-        if rep == s:  # the swaps fixing s fix its value
-            masks.append(1 + sum(2 << j for j in range(k) if s.count(s[j]) == 1))
-        else:
-            perm = sorted(range(k), key=s.__getitem__)  # sends rep's coordinate j to perm[j]
-            relabel = ((0, 0),) + tuple((j + 1, perm[j] + 1) for j in range(k))
-            post(watch, (position[rep], i), listed(relabel, width))
-            masks.append((1 << width) - 1)
-        if sum(s) < horizon:
-            ext = tuple(position[s[:j] + (s[j] + 1,) + s[j + 1:]] for j in range(k))
-            for supports, e in zip(forward, ext):
-                post(watch, (i, e), supports)
-            if with_c6:
-                post(watch, (i,) + ext, not_all(0, k + 1, width))
-
+    masks, watch = _c_network(alphabet, horizon, with_c6)
     symbol = {1 << v: x for v, x in enumerate((alphabet.bot,) + alphabet.non_bot)}
     families = sorted((TabulatedFamily(alphabet, horizon, tuple(map(symbol.__getitem__, m)))
-                       for m in solutions(masks, watch, width)), key=TabulatedFamily.value_tuple)
+                       for m in solutions(list(masks), watch, k + 1)), key=TabulatedFamily.value_tuple)
     return FamilySet(alphabet, horizon, tuple(families))
 
 

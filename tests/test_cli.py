@@ -14,7 +14,10 @@ from hypothesis import strategies as st
 
 from votelab import cli
 from votelab.arrow import WeakOrder, enumerate_weak_orders
-from votelab.core import Alphabet, Profile, RuleDomainError, extend, profiles_of_size
+from votelab.core import (
+    Alphabet, Profile, RuleDomainError, extend, profiles_of_size, signatures_up_to,
+)
+from votelab.enumeration import enumerate_c_families
 from votelab.cli import (
     BallotParseError,
     family_from_json,
@@ -50,6 +53,14 @@ def write(tmp_path, name, text):
 
 
 SIMPLE = "alternatives: a,b,_ bot: _\na\na\nb\n_\n"
+
+
+def family_text(horizon, count, **fields):
+    """Pure majority's family file at the horizon, its counts passed through
+    ``count`` and the given top-level fields replaced."""
+    doc = family_json(pure_majority_table(AB2, horizon))
+    doc["entries"] = [[list(map(count, counts)), value] for counts, value in doc["entries"]]
+    return json.dumps({**doc, **fields})
 
 
 class TestBallotFiles:
@@ -160,6 +171,38 @@ class TestDescriptors:
         fam = pure_majority_table(AB2, 4)
         assert family_from_json(family_json(fam)) == fam
 
+    @pytest.mark.parametrize("k, horizon", [(2, h) for h in range(7)] + [(3, h) for h in range(5)])
+    def test_family_entries_are_the_signatures_with_their_values(self, k, horizon):
+        alphabet = Alphabet.make(k)
+        for fam in enumerate_c_families(alphabet, horizon).families:
+            assert family_json(fam)["entries"] == [
+                (sig, value)
+                for sig, value in zip(signatures_up_to(alphabet, horizon), fam.value_tuple())
+            ]
+
+    def test_equal_cells_are_one_object_across_families(self):
+        docs = [family_json(f) for f in enumerate_c_families(Alphabet.make(3), 3).families]
+        for doc in docs[1:]:
+            for cell, first in zip(doc["entries"], docs[0]["entries"]):
+                assert (cell is first) == (cell == first)
+
+    def test_mutating_a_family_document_changes_no_later_one(self):
+        fam = pure_majority_table(AB2, 3)
+        expected = json.dumps(family_json(fam))
+        doc = family_json(fam)
+        doc["entries"][0] = ((9, 9), "z")
+        doc["entries"].append(doc["entries"][1])
+        doc["alternatives"].append("z")
+        assert json.dumps(family_json(fam)) == expected
+
+    def test_enumerate_shares_one_alternatives_list(self, monkeypatch):
+        emitted = []
+        monkeypatch.setattr(cli, "_emit", lambda doc, out: emitted.append(doc))
+        assert main(["enumerate", "--alternatives", "3", "--horizon", "3"]) == 0
+        lists = [f["alternatives"] for f in emitted[0]["families"]]
+        assert lists[0] == ["a", "b", "c", "_"]
+        assert all(alternatives is lists[0] for alternatives in lists)
+
 
 class TestAxiomLists:
     def test_ranges_and_lists(self):
@@ -225,10 +268,19 @@ class TestEvalCommand:
         (SIMPLE, "tabulated:{family}", "missing", "cannot read tabulated family file"),
         (SIMPLE, "tabulated:{family}", "{not json", "tabulated family file is not valid JSON"),
         (SIMPLE, "tabulated:{family}", '{"schema": 1}', "malformed tabulated family document"),
+        (SIMPLE, "tabulated:{family}", family_text(1, bool),
+         "malformed tabulated family document: signature counts must be ints"),
+        (SIMPLE, "tabulated:{family}", family_text(2, float),
+         "malformed tabulated family document: signature counts must be ints"),
+        (SIMPLE, "tabulated:{family}", family_text(2, int, schema=99),
+         "malformed tabulated family document: expected schema 1"),
+        (SIMPLE, "tabulated:{family}", family_text(2, int, kind="something-else"),
+         "malformed tabulated family document: expected schema 1"),
     ], ids=["header-syntax", "no-alternatives", "no-tie-symbol", "repeated-symbol",
             "two-symbols", "rank-after-choices", "empty-rank", "malformed-rank",
             "tie-in-rank", "supermajority-quota", "family-alphabet", "family-missing",
-            "family-not-json", "family-lacks-key"])
+            "family-not-json", "family-lacks-key", "family-bool-counts",
+            "family-float-counts", "family-other-schema", "family-other-kind"])
     def test_input_errors_exit_2_and_name_the_problem(self, tmp_path, capsys, ballots, rule,
                                                       family, message):
         fam_path = str(tmp_path / "fam.json")

@@ -13,7 +13,7 @@ from votelab.rules import (
     TabulatedRule,
     pure_majority_table,
 )
-from votelab import axioms, enumeration
+from votelab import arrow, axioms, enumeration
 from votelab.enumeration import (
     FamilySet,
     MayFunctionTable,
@@ -351,3 +351,74 @@ def test_refusals_raise_their_class(call, error, message):
     with pytest.raises(error, match=message) as raised:
         call()
     assert raised.type is error
+
+
+# --- search networks built once per domain ------------------------------------
+
+
+NETWORKS = (enumeration._c_network, enumeration._may_network, arrow._search_network)
+SWAPPED = (Alphabet(("_", "a", "b"), "_"), Alphabet(("b", "a", "_"), "_"))
+
+
+def arrow_key(survivors):
+    return [(s._indices, s.descriptor) for s in survivors]
+
+
+def network_calls():
+    """Searches over every cached domain kind, interleaved."""
+    calls = [lambda a=a, h=h, c6=c6: enumerate_c_families(a, h, with_c6=c6)
+             for h in range(7) for c6 in (False, True) for a in (AB2,) + SWAPPED]
+    calls += [lambda n=n, s=s: enumerate_may_functions(n, s)
+              for n in range(1, 5) for s in ("in_favor", "flip")]
+    calls += [lambda n=n: arrow_key(arrow.arrow_search(n)) for n in (1, 2)]
+    return calls[::2] + calls[1::2]
+
+
+def test_cached_networks_give_the_results_of_fresh_ones():
+    calls = network_calls()
+    cached = [call() for call in calls + calls[::-1]]
+    fresh = []
+    for call in calls:
+        for network in NETWORKS:
+            network.cache_clear()
+        fresh.append(call())
+    assert cached == fresh + fresh[::-1]
+
+
+@pytest.mark.parametrize("network, args, search", [
+    (enumeration._c_network, (Alphabet.make(3), 5, True),
+     lambda: enumerate_c_families(Alphabet.make(3), 5, with_c6=True)),
+    (enumeration._may_network, (4, "flip"), lambda: enumerate_may_functions(4, "flip")),
+    (arrow._search_network, (("a", "b", "c"), 2), lambda: arrow.arrow_search(2)),
+], ids=["c-families", "may", "arrow"])
+def test_a_search_leaves_its_cached_network_unchanged(network, args, search):
+    shared = network(*args)
+    masks, rows = shared[:2]
+    assert type(masks) is tuple and type(rows) is tuple
+    assert all(type(row) is tuple for row in rows)
+    search()
+    search()
+    assert network(*args) is shared
+    assert shared == network.__wrapped__(*args)  # equal to a network built anew
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: enumerate_c_families(AB2, True), BoundError),
+    (lambda: enumerate_c_families(AB2, 2.0), BoundError),
+    (lambda: enumerate_c_families(AB2, -1), BoundError),
+    (lambda: enumerate_c_families(AB2, enumeration.MAX_HORIZON + 1), BoundError),
+    (lambda: enumerate_c_families(Alphabet.make(1), 2), RuleDomainError),
+    (lambda: enumerate_c_families(Alphabet.make(4), 2), BoundError),
+    (lambda: enumerate_may_functions(0), BoundError),
+    (lambda: enumerate_may_functions(5), BoundError),
+    (lambda: enumerate_may_functions(True), BoundError),
+    (lambda: enumerate_may_functions(2, "sideways"), VoteLabError),
+    (lambda: arrow.arrow_search(4), BoundError),
+], ids=["bool-horizon", "float-horizon", "negative-horizon", "horizon-over-bound",
+        "one-alternative", "four-alternatives", "no-voters", "five-voters", "bool-voters",
+        "unknown-semantics", "arrow-four-voters"])
+def test_a_refused_search_caches_no_network(call, error):
+    before = [network.cache_info().currsize for network in NETWORKS]
+    with pytest.raises(error):
+        call()
+    assert [network.cache_info().currsize for network in NETWORKS] == before
