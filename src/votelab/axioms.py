@@ -9,17 +9,20 @@ Every checker reads one evaluation pass, an :class:`Outcomes` table: the
 rule's outcome on each raw profile, stored under the profile's base-|A| code
 (ballots are digits in alphabet order, the first ballot most significant).
 Code order is the order of ``profiles_of_size``, so the first failing code is
-the minimal witness.  A slot is evaluated when a checker first reads it and
-then kept, an evaluation that raised included: :func:`audit` hands one table
-to every selected checker, so it evaluates each profile at most once, and a
-checker on its own evaluates only the profiles it reads.  A slot's profile is
-built without re-validation (``core._trusted_profile``): its ballots come from
-the alphabet's own symbols, and it equals, and hashes like, the checked
-``Profile`` of the same ballots.  Checkers read the slots in the order in
-which a per-profile loop would evaluate them, so an error surfaces at the same
-profile.  Moves between profiles are index arithmetic: a voter joining with
-ballot d leads to ``code*k + d``, a relabeling maps every digit, and a changed
-ballot at voter v adds ``(new-old)*k^(n-1-v)``.
+the minimal witness.  A slot is evaluated once and then kept, an evaluation
+that raised included: :func:`audit` hands one table to every selected checker.
+On the audit's table, C2, C3, C6 and the May checkers (each reads every profile
+of a size when it passes) fill each size in code order just before they scan
+it (:meth:`Outcomes.fill`), up to the first profile that raises or answers
+outside the alphabet; later slots wait for a checker's first read.  Other
+checkers, and every checker on its own table, evaluate only the profiles they
+read.  A slot's profile is built without re-validation: its ballots are the
+alphabet's own symbols, and it equals, and hashes like, the checked
+``Profile``.  Checkers read the slots in the order of a per-profile loop, and a
+filled slot holds a symbol, so an error surfaces at the same profile.  Moves
+between profiles are index arithmetic: a voter joining with ballot d leads to
+``code*k + d``, a relabeling maps every digit, and a changed ballot at voter v
+adds ``(new-old)*k^(n-1-v)``.
 
 The relabeling checks (C2, MA3) read each orbit once.  The relabelings a
 check tests, with the identity, form a group G that acts on profiles and on
@@ -64,7 +67,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from .core import (
     Alphabet,
@@ -75,6 +78,7 @@ from .core import (
     VoteLabError,
     VoterPermutation,
     _trusted_profile,
+    _trusted_profiles,
     apply_alt_permutation,
     apply_voter_permutation,
     extend,
@@ -165,33 +169,74 @@ _PENDING = object()
 class Outcomes:
     """The rule's outcome on raw profiles by base-|A| code, each evaluated once.
 
-    Built by :func:`audit` for all of its checkers, or by a checker called
-    without one.  A slot's profile is built from its code when the slot is
-    first read.
+    Built by :func:`audit` for all of its checkers (``fills``), or by a checker
+    called without one.  A slot's profile is built from its code when the slot
+    is first read, or when :meth:`fill` reaches it.
     """
 
-    def __init__(self, rule: RuleFamily):
+    def __init__(self, rule: RuleFamily, *, fills: bool = False):
         self.rule = rule
+        self.fills = fills  # whole-size scans fill each size first (see _sweep)
         self.alphabet = rule.alphabet
         self.k = len(rule.alphabet.alternatives)
         self._digit = {s: d for d, s in enumerate(rule.alphabet.alternatives)}
         self._slots: dict[int, list] = {}
         self._symbols: dict[int, int] = {}
 
+    def _level(self, size: int) -> list:
+        if size not in self._slots:
+            self._slots[size], self._symbols[size] = [_PENDING] * self.k ** size, 0
+        return self._slots[size]
+
+    def _store(self, size: int, pending: Iterable[tuple[int, Profile]]) -> object:
+        """Evaluate each ``(code, profile)`` whose slot is pending, in turn, and
+        keep its symbol, up to the first profile that raises or answers outside
+        the alphabet (or a slot holding such an error); returns the exception
+        or RuleDomainError kept there, else the last outcome."""
+        slots, evaluate = self._slots[size], self.rule.evaluate
+        alternatives = self.alphabet.alternatives
+        kept, value = 0, None
+        for code, profile in pending:
+            value = slots[code]
+            if value is _PENDING:
+                try:
+                    value = evaluate(profile)
+                except Exception as exc:  # kept in the slot; every read raises it
+                    value = slots[code] = exc
+                    break
+                if value not in alternatives:
+                    value = slots[code] = RuleDomainError(
+                        f"rule {self.rule.descriptor} answered {value!r}, which is "
+                        f"not a symbol of the alphabet {alternatives}")
+                    break
+                slots[code] = value
+                kept += 1
+            elif isinstance(value, Exception):
+                break
+        self._symbols[size] += kept
+        return value
+
+    def fill(self, size: int) -> bool:
+        """Evaluate the pending slots of ``size`` ballots in code order up to the
+        first error, leaving later slots pending; True if every slot holds a symbol."""
+        slots = self._level(size)
+        if self._symbols[size] == len(slots):  # already full
+            return True
+        ballots = itertools.product(self.alphabet.alternatives, repeat=size)
+        profiles = _trusted_profiles(self.alphabet, ballots)
+        return not isinstance(self._store(size, enumerate(profiles)), Exception)
+
     def reader(self, size: int) -> Callable[[int], str]:
         """Outcome by code among the profiles of ``size`` ballots; raises what
         the rule raised on that profile, or RuleDomainError where its outcome
         is not a symbol of the alphabet.  Once every slot of the level holds a
         symbol, the reader is the slot list's own lookup."""
-        slots = self._slots.get(size)
-        if slots is None:
-            slots = self._slots[size] = [_PENDING] * self.k ** size
-            self._symbols[size] = 0
+        slots = self._level(size)
         if self._symbols[size] == len(slots):
             return slots.__getitem__
         low = size // 2
         tail_codes = self.k ** low
-        alphabet, evaluate, symbols = self.alphabet, self.rule.evaluate, self._symbols
+        alphabet, store = self.alphabet, self._store
         alternatives = alphabet.alternatives
         heads, tails = _ballots(alternatives, size - low), _ballots(alternatives, low)
 
@@ -201,22 +246,11 @@ class Outcomes:
                 return value
             if value is _PENDING:
                 head, tail = divmod(code, tail_codes)
-                try:
-                    value = evaluate(_trusted_profile(alphabet, heads[head] + tails[tail]))
-                except Exception as exc:  # kept in the slot; every read raises it
-                    slots[code] = exc
-                    raise
-                if value in alternatives:
-                    symbols[size] += 1
-                    slots[code] = value
-                    return value
-                value = slots[code] = RuleDomainError(
-                    f"rule {self.rule.descriptor} answered {value!r}, which is "
-                    f"not a symbol of the alphabet {alternatives}"
-                )
+                profile = _trusted_profile(alphabet, heads[head] + tails[tail])
+                value = store(size, ((code, profile),))
             if isinstance(value, Exception):
                 raise value
-            return value  # a str subclass equal to a symbol
+            return value  # a symbol, or a str subclass equal to one
 
         return read
 
@@ -292,12 +326,14 @@ def _relabelings(alphabet: Alphabet) -> tuple[AltPermutation, ...]:
 
 def _sweep(rule: RuleFamily, axiom: str, n_max: int, sizes: range, reads: range,
            outcomes: Outcomes | None,
-           scan: Callable[[Outcomes, int], tuple[Witness | None, int]]) -> CheckResult:
+           scan: Callable[[Outcomes, int], tuple[Witness | None, int]],
+           whole: bool = False) -> CheckResult:
     """The one loop over profile sizes.  Once the sizes the check ``reads`` are
     within budget (a negative bound raises there too), ``outcomes`` belongs to
     ``rule`` (or a new table is made) and ``sizes`` is not empty,
     ``scan(table, size)`` gives each size's witness or None and its profile
-    count, up to the first witness."""
+    count, up to the first witness.  A ``whole`` scan reads every profile of
+    its size when it passes, so a ``fills`` table is filled there first."""
     profile_budget(rule.alphabet, n_max, reads)
     if outcomes is None:
         outcomes = Outcomes(rule)
@@ -306,6 +342,8 @@ def _sweep(rule: RuleFamily, axiom: str, n_max: int, sizes: range, reads: range,
     _require_extensible(axiom, n_max, sizes)
     checked = 0
     for size in sizes:
+        if whole and outcomes.fills:
+            outcomes.fill(size)
         witness, count = scan(outcomes, size)
         checked += count
         if witness is not None:
@@ -333,7 +371,7 @@ def check_c2(rule: RuleFamily, n_max: int, *, outcomes: Outcomes | None = None) 
     _require_checkable(rule.alphabet)
     perms = _relabelings(rule.alphabet)
     return _sweep(rule, C2, n_max, range(n_max + 1), range(n_max + 1), outcomes,
-                  lambda table, size: _relabel_scan(table, size, perms, C2))
+                  lambda table, size: _relabel_scan(table, size, perms, C2), whole=True)
 
 
 def _relabel_scan(
@@ -380,7 +418,7 @@ def check_c3(rule: RuleFamily, n_max: int, *, outcomes: Outcomes | None = None) 
     """
     _require_checkable(rule.alphabet)
     return _sweep(rule, C3, n_max, range(n_max + 1), range(n_max + 1), outcomes,
-                  lambda table, size: _multiset_scan(table, size, C3))
+                  lambda table, size: _multiset_scan(table, size, C3), whole=True)
 
 
 def _multiset_scan(table: Outcomes, size: int, axiom: str) -> tuple[Witness | None, int]:
@@ -469,7 +507,8 @@ def check_c6(rule: RuleFamily, n_max: int, *, outcomes: Outcomes | None = None) 
                                expected=None, observed=bot), code + 1
         return None, k ** size
 
-    return _sweep(rule, C6, n_max, range(n_max + 1), range(n_max + 2), outcomes, scan)
+    return _sweep(rule, C6, n_max, range(n_max + 1), range(n_max + 2), outcomes, scan,
+                  whole=True)
 
 
 def _expected_check(rule: RuleFamily, n_max: int, outcomes: Outcomes | None, axiom: str,
@@ -544,7 +583,7 @@ def check_ma2(rule: RuleFamily, n: int, *, outcomes: Outcomes | None = None) -> 
     """May's symmetry at exact size n: full voter-permutation invariance."""
     _require_may(rule)
     return _sweep(rule, MA2, n, range(n, n + 1), range(n, n + 1), outcomes,
-                  lambda table, size: _multiset_scan(table, size, MA2))
+                  lambda table, size: _multiset_scan(table, size, MA2), whole=True)
 
 
 def check_ma3(rule: RuleFamily, n: int, *, outcomes: Outcomes | None = None) -> CheckResult:
@@ -552,7 +591,7 @@ def check_ma3(rule: RuleFamily, n: int, *, outcomes: Outcomes | None = None) -> 
     _require_may(rule)
     negate = (AltPermutation.swap(rule.alphabet, "-1", "1"),)
     return _sweep(rule, MA3, n, range(n, n + 1), range(n, n + 1), outcomes,
-                  lambda table, size: _relabel_scan(table, size, negate, MA3))
+                  lambda table, size: _relabel_scan(table, size, negate, MA3), whole=True)
 
 
 def check_ma4(
@@ -595,7 +634,7 @@ def check_ma4(
                                        expected=direction, observed=observed), code + 1
         return None, k ** size
 
-    return _sweep(rule, MA4, n, range(n, n + 1), range(n, n + 1), outcomes, scan)
+    return _sweep(rule, MA4, n, range(n, n + 1), range(n, n + 1), outcomes, scan, whole=True)
 
 
 @dataclass(frozen=True)
@@ -723,7 +762,7 @@ def audit(
             raise VoteLabError(f"unknown axiom {a!r}")
         if a in (C4, C5, TIE_CLOSURE):
             _require_extensible(a, n_max, range(n_max))
-    outcomes = Outcomes(rule)
+    outcomes = Outcomes(rule, fills=True)
     results = []
     for axiom in ALL_AXIOMS:
         if axiom not in axioms:

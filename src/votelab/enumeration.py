@@ -43,7 +43,7 @@ MAY_VALUES = (-1, 0, 1)
 # Bounds of the two enumerators.  They stay fixed rather than follow
 # core.PROFILE_BUDGET: what an enumeration costs grows with the families it
 # lists, not with profiles (at 3 alternatives, h=7 without C6 lists 356,160
-# families: 76 s and 2.1 GB).
+# families: 6.8-7.1 s and 435 MB peak RSS in-process, 2-vCPU Xeon VM, Python 3.11).
 MAY_MAX_VOTERS = 4
 MAX_HORIZON = 8
 

@@ -167,6 +167,14 @@ def test_solutions_match_brute_force(problem):
     assert got == want
 
 
+def test_a_unary_constraint_is_refused():
+    # a lone variable has no other to watch it, so its row would never be filed
+    watch = [[], []]
+    with pytest.raises(ValueError):
+        core.post(watch, (0,), core.listed(((1,),), 3))
+    assert watch == [[], []]
+
+
 def old_solutions(masks, watch, width, changed=None):
     """The recursive search core ``core.solutions`` replaced, kept as the
     reference for its order."""

@@ -622,6 +622,138 @@ def test_a_full_level_is_read_as_a_list():
     assert sum(calls.values()) == evaluated == 4 ** 3
 
 
+def in_order(rule):
+    """``rule`` evaluated through a wrapper that lists each profile's ballots
+    in the order of evaluation."""
+    received = []
+
+    def fn(p):
+        received.append(p.ballots)
+        return rule.evaluate(p)
+
+    return FunctionRule(rule.alphabet, fn, rule.descriptor), received
+
+
+def ballots_up_to(alphabet, n_max):
+    """Every ballot tuple of at most ``n_max`` voters, in code order by size."""
+    return [b for size in range(n_max + 1)
+            for b in itertools.product(alphabet.alternatives, repeat=size)]
+
+
+@pytest.mark.parametrize("selected", [("C2",), ("C3", "C4"), ("C3", "C6"), ("C2", "C3", "C4", "C5")])
+def test_audit_fills_every_level_in_code_order_first(selected):
+    # the first checker fills each size just before it scans it
+    rule, received = in_order(PureMajorityRule(AB3))
+    assert axioms.audit(rule, selected, 3).all_pass
+    levels = ballots_up_to(AB3, 3)
+    assert received[:len(levels)] == levels
+    assert len(set(received)) == len(received)  # each profile once, C6's probes included
+
+
+def test_a_fill_after_lazy_reads_evaluates_each_profile_once():
+    # C4 reads lazily first; C6 then fills what C4 left pending
+    rule, calls = counted(PureMajorityRule(AB3))
+    assert axioms.audit(rule, ("C4", "C6"), 3).all_pass
+    assert set(calls.values()) == {1}
+    assert set(ballots_up_to(AB3, 3)) <= set(calls)
+
+
+def test_a_refused_checker_evaluates_nothing():
+    # the fill runs after a checker's own preconditions, never before them
+    may_tie = FunctionRule(Alphabet.may(), lambda p: "0", "always-tie")
+    one = FunctionRule(Alphabet.make(1), lambda p: "_", "always-tie")
+    for plain, selected, semantics in [
+        (PureMajorityRule(AB3), ("MA2", "MA3", "MA4"), "in_favor"),  # not the May alphabet
+        (one, ("C2", "C3", "C6"), "in_favor"),  # fewer than 2 non-tie alternatives
+        (may_tie, ("MA4",), "sideways"),  # unknown MA4 semantics
+    ]:
+        rule, calls = counted(plain)
+        report = axioms.audit(rule, selected, 3, semantics)
+        assert [r.status for r in report.results] == ["error"] * len(selected)
+        assert not calls
+
+
+def test_a_failing_audit_fills_no_size_past_its_witness():
+    def first_ballot_a(p):  # fails C2 at n=1 and C3 at n=2
+        return "a" if p.ballots[:1] == ("a",) else "_"
+
+    plain = FunctionRule(AB3, first_ballot_a, "first-ballot-a")
+    for selected, largest in [(("C2",), 1), (("C2", "C3"), 2), (("C3",), 2)]:
+        rule, calls = counted(plain)
+        report = axioms.audit(rule, selected, 8)
+        assert [r.status for r in report.results] == ["fail"] * len(selected)
+        assert max(map(len, calls)) == largest
+        assert set(calls.values()) == {1}
+        assert report.results == naive_audit(plain, 8, audited=selected)
+
+
+# per-size evaluations of pure majority's C4-only and PLURALITY_PROPERTY-only
+# audits at 3 alternatives, n=3, recorded before the fill: a selection without
+# C2, C3, C6 or a May checker evaluates only what its checkers read
+LAZY_COUNTS = {
+    ("C4",): {0: 1, 1: 4, 2: 16, 3: 16},
+    ("PLURALITY_PROPERTY",): {0: 1, 1: 4, 2: 16, 3: 64},
+    ("C4", "!wrong"): {0: 1, 1: 4, 2: 13, 3: 11},
+    ("PLURALITY_PROPERTY", "!wrong"): {0: 1, 1: 4, 2: 11},
+}
+
+
+@pytest.mark.parametrize("key", LAZY_COUNTS, ids="-".join)
+def test_selections_that_need_not_read_everything_are_not_filled(key):
+    selected, wrong = key[:1], key[1:]
+
+    def fn(p):  # answers a where c wins outright, so both checkers fail there
+        return "a" if wrong and p.ballots == ("c", "c") else pure_majority(p)
+
+    rule, calls = counted(FunctionRule(AB3, fn, "c-c-is-a"))
+    report = axioms.audit(rule, selected, 3)
+    assert report.results[0].status == ("fail" if wrong else "pass")
+    assert Counter(len(b) for b in calls.elements()) == LAZY_COUNTS[key]
+    assert set(calls.values()) == {1}
+    if key == ("C4",):  # every profile below the bound, and those of size 2 with an abstention
+        below = ballots_up_to(AB3, 2)
+        assert set(calls) == set(below) | {b + ("_",) for b in below if len(b) == 2}
+
+
+def test_the_fill_stops_at_the_first_error():
+    def refuse_aa(p):
+        if p.ballots == ("a", "a"):
+            raise RuleDomainError("refused at ['a', 'a']")
+        return pure_majority(p)
+
+    plain = FunctionRule(AB3, refuse_aa, "no-aa")
+    rule, received = in_order(plain)
+    table = axioms.Outcomes(rule)
+    assert table.fill(0) and table.fill(1)
+    assert not table.fill(2)
+    assert received == ballots_up_to(AB3, 1) + [("a", "a")]  # no code past the error
+    assert not table.fill(2) and len(received) == 6  # the kept error stops it again
+    with pytest.raises(RuleDomainError):
+        table.reader(2)(0)
+    assert len(received) == 6
+
+    selected = ("C2", "C3", "C4", "C5")
+    rule, received = in_order(plain)
+    report = axioms.audit(rule, selected, 3)
+    assert report.results == naive_audit(plain, 3, audited=selected)
+    assert received[:6] == ballots_up_to(AB3, 1) + [("a", "a")]
+    assert len(set(received)) == len(received)
+    assert max(map(len, received)) == 2  # level 3 is left to the checkers, which stop first
+
+
+def test_after_the_fill_a_level_is_read_as_a_list():
+    rule, calls = counted(PureMajorityRule(AB3))
+    table = axioms.Outcomes(rule)
+    assert table.fill(3)
+    read = table.reader(3)
+    assert isinstance(read.__self__, list)  # the slot list's own lookup
+    assert read == read.__self__.__getitem__
+    assert [read(code) for code in range(4 ** 3)] == [
+        pure_majority(Profile(AB3, b)) for b in itertools.product(AB3.alternatives, repeat=3)]
+    assert sum(calls.values()) == len(calls) == 4 ** 3
+    assert table.fill(3) and sum(calls.values()) == 4 ** 3  # a full level is not evaluated again
+
+
 def test_slot_profiles_equal_and_hash_like_checked_profiles():
     received = []
 
@@ -638,3 +770,18 @@ def test_slot_profiles_equal_and_hash_like_checked_profiles():
         assert p == checked and hash(p) == hash(checked) and repr(p) == repr(checked)
     assert {p.ballots for p in received} == {p.ballots for s in range(4)
                                              for p in profiles_of_size(AB3, s)}
+
+
+def test_lazily_read_slot_profiles_equal_checked_profiles():
+    received = []
+
+    def recorded(p):
+        received.append(p)
+        return pure_majority(p)
+
+    assert axioms.check_c4(FunctionRule(AB3, recorded, "recorded"), 3).passed  # read, not filled
+    assert len(received) == sum(LAZY_COUNTS[("C4",)].values())
+    for p in received:
+        checked = Profile(AB3, p.ballots)
+        assert type(p) is Profile and p.alphabet is AB3
+        assert p == checked and hash(p) == hash(checked) and repr(p) == repr(checked)
