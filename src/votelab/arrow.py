@@ -639,6 +639,8 @@ def factor_into_pair_functions(
 # --- exhaustive search over pair-decomposable SWFs -------------------------
 
 _MONOTONE = tuple((lo, hi) for lo in range(3) for hi in range(lo, 3))  # value bits
+# per weight 9, 3, 1: a one-bit stance mask (1, 2, 4) -> weight * (stance + 1)
+_SOCIAL = tuple(bytes((0, 0, w, 0, 2 * w)).ljust(256, b"\0") for w in (9, 3, 1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -669,7 +671,7 @@ def _search_network(alternatives: tuple[str, ...], n: int) -> tuple[
     order_at = bytearray(b"\xff" * 256)
     for i, (ab, bc, ac) in enumerate(triples):
         order_at[9 * ab + 3 * bc + ac] = i
-    return tuple(masks), tuple(map(tuple, watch)), tuple(keys), bytes(order_at)
+    return tuple(masks), core.rows(watch), tuple(keys), bytes(order_at)
 
 
 def arrow_search(n: int = 2, alternatives: tuple[str, ...] = ("a", "b", "c")) -> tuple[TabulatedSWF, ...]:
@@ -689,16 +691,16 @@ def arrow_search(n: int = 2, alternatives: tuple[str, ...] = ("a", "b", "c")) ->
     if (isinstance(n, bool) or not isinstance(n, int) or n not in (1, 2, 3)
             or len(alternatives) != 3):
         raise BoundError("search is desk-scale only: 1 to 3 voters, exactly 3 alternatives")
-    masks, watch, keys, order_at = _search_network(alternatives, n)
+    masks, rows, keys, order_at = _search_network(alternatives, n)
     size = 3 ** n
     found = set()  # each solution's social order index on every profile
-    for m in core.solutions(list(masks), watch, 3):
+    for m in core.solutions(list(masks), rows, 3):
         # per pair, each profile's social stance + 1, times 9, 3 or 1, by
         # translating its stance vector code; the three are added as
         # big-endian integers, byte by byte since no byte's sum exceeds 26
         code = 0
-        for k, (key, weight) in enumerate(zip(keys, (9, 3, 1))):
-            social = bytes(weight * (mask.bit_length() - 1) for mask in m[k * size:(k + 1) * size])
+        for k, (key, table) in enumerate(zip(keys, _SOCIAL)):
+            social = bytes(m[k * size:(k + 1) * size]).translate(table)
             code += int.from_bytes(key.translate(social.ljust(256, b"\0")), "big")
         found.add(code.to_bytes(len(keys[0]), "big").translate(order_at))
     # bytes of order indices sort as the tuples of them do; a 255 raises

@@ -309,13 +309,16 @@ def check_values(values: tuple, size: int, allowed: Container) -> None:
 
 # --- constraint propagation over value masks ------------------------------------
 # A variable's domain is a mask over the ``width`` values of its search (bits 0
-# to width - 1).  ``post`` files a constraint as one revision row per variable,
-# watched by each of the others: (the variable, the others, the mask of its
-# values supported under every packing of the others' masks, ``width`` bits
-# each, first other most significant).
+# to width - 1).  ``post`` files a constraint in a Watch as one revision row per
+# variable, watched by each of the others: (the variable, the others, the mask
+# of its values supported under every packing of the others' masks, ``width``
+# bits each, first other most significant).  ``rows`` compiles a Watch once per
+# network into the Rows that ``propagate`` reads: per watching variable, its
+# binary rows (x, y, support), its ternary rows (x, y, z, support) and its wider
+# rows (x, others, support), each kind in filing order.
 
 Watch = list[list[tuple[int, tuple[int, ...], tuple[int, ...]]]]
-Rows = Sequence[Sequence[tuple[int, tuple[int, ...], tuple[int, ...]]]]  # a Watch, or its tuples
+Rows = tuple[tuple[tuple[tuple, ...], ...], ...]  # per variable: (binary, ternary, wider)
 Supports = tuple[tuple[int, ...], ...]
 
 
@@ -354,12 +357,34 @@ def post(watch: Watch, variables: tuple[int, ...], supports: Supports) -> None:
             watch[y].append((x, others, support))
 
 
-def propagate(masks: list[int], watch: Rows, width: int, changed: Iterable[int]) -> bool:
+def rows(watch: Watch) -> Rows:
+    """The rows of ``watch`` compiled for :func:`propagate`, by arity."""
+    return tuple((tuple((x, *others, s) for x, others, s in w if len(others) == 1),
+                  tuple((x, *others, s) for x, others, s in w if len(others) == 2),
+                  tuple(row for row in w if len(row[1]) > 2)) for w in watch)
+
+
+def propagate(masks: list[int], rows: Rows, width: int, changed: Iterable[int]) -> bool:
     """Narrow ``masks`` in place until every value left has support in every
     constraint on its variable; False as soon as some mask is empty."""
     stack = list(changed)
     while stack:
-        for x, others, support in watch[stack.pop()]:
+        binary, ternary, wider = rows[stack.pop()]
+        for x, y, support in binary:
+            narrowed = masks[x] & support[masks[y]]
+            if narrowed != masks[x]:
+                if not narrowed:
+                    return False
+                masks[x] = narrowed
+                stack.append(x)
+        for x, y, z, support in ternary:
+            narrowed = masks[x] & support[masks[y] << width | masks[z]]
+            if narrowed != masks[x]:
+                if not narrowed:
+                    return False
+                masks[x] = narrowed
+                stack.append(x)
+        for x, others, support in wider:
             key = 0
             for y in others:
                 key = key << width | masks[y]
@@ -372,7 +397,7 @@ def propagate(masks: list[int], watch: Rows, width: int, changed: Iterable[int])
     return True
 
 
-def solutions(masks: list[int], watch: Rows, width: int) -> Iterator[list[int]]:
+def solutions(masks: list[int], rows: Rows, width: int) -> Iterator[list[int]]:
     """Every assignment the constraints allow, as one-bit masks, in lexicographic
     order: propagate to a fixpoint, then branch on the first variable left open,
     its values in increasing order.  A branch is propagated when it is taken,
@@ -383,7 +408,7 @@ def solutions(masks: list[int], watch: Rows, width: int) -> Iterator[list[int]]:
         if x >= 0:
             masks = masks.copy()
             masks[x] = 1 << value
-        if not propagate(masks, watch, width, (x,) if x >= 0 else range(len(masks))):
+        if not propagate(masks, rows, width, (x,) if x >= 0 else range(len(masks))):
             continue
         for x in range(x + 1, len(masks)):
             mask = masks[x]

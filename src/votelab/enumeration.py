@@ -31,6 +31,7 @@ from .core import (
     not_all,
     post,
     profile_budget,
+    rows,
     signature_positions,
     signatures_up_to,
     solutions,
@@ -129,7 +130,7 @@ def _may_network(n: int, semantics: str) -> tuple[tuple[int, ...], Rows]:
             post(watch, (position[t], position[t[::-1]]), listed(_MIRROR, 3))
     for src, dst, direction in _may_moves(n, semantics):
         post(watch, (position[src], position[dst]), listed(_RESPONSIVE[direction], 3))
-    return tuple(2 if t[0] == t[2] else 7 for t in triples), tuple(map(tuple, watch))
+    return tuple(2 if t[0] == t[2] else 7 for t in triples), rows(watch)
 
 
 def enumerate_may_functions(n: int, semantics: str = "in_favor") -> tuple[MayFunctionTable, ...]:
@@ -145,9 +146,9 @@ def enumerate_may_functions(n: int, semantics: str = "in_favor") -> tuple[MayFun
     """
     if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAY_MAX_VOTERS:
         raise BoundError(f"voter count {n!r} outside enumeration bound 1..{MAY_MAX_VOTERS}")
-    masks, watch = _may_network(n, semantics)
+    masks, rows = _may_network(n, semantics)
     found = sorted((MayFunctionTable(n, tuple(m.bit_length() - 2 for m in s))
-                    for s in solutions(list(masks), watch, 3)), key=MayFunctionTable.value_tuple)
+                    for s in solutions(list(masks), rows, 3)), key=MayFunctionTable.value_tuple)
     for table in found:
         _cross_check_may(table, semantics)
     return tuple(found)
@@ -211,7 +212,7 @@ def _c_network(alphabet: Alphabet, horizon: int, with_c6: bool) -> tuple[tuple[i
                 post(watch, (i, e), supports)
             if with_c6:
                 post(watch, (i,) + ext, not_all(0, k + 1, width))
-    return tuple(masks), tuple(map(tuple, watch))
+    return tuple(masks), rows(watch)
 
 
 def enumerate_c_families(alphabet: Alphabet, horizon: int, with_c6: bool = False) -> FamilySet:
@@ -244,10 +245,10 @@ def enumerate_c_families(alphabet: Alphabet, horizon: int, with_c6: bool = False
     if isinstance(horizon, bool) or not isinstance(horizon, int) \
             or not 0 <= horizon <= MAX_HORIZON:
         raise BoundError(f"horizon {horizon!r} outside bound 0..{MAX_HORIZON}")
-    masks, watch = _c_network(alphabet, horizon, with_c6)
+    masks, rows = _c_network(alphabet, horizon, with_c6)
     symbol = {1 << v: x for v, x in enumerate((alphabet.bot,) + alphabet.non_bot)}
     families = sorted((TabulatedFamily(alphabet, horizon, tuple(map(symbol.__getitem__, m)))
-                       for m in solutions(list(masks), watch, k + 1)), key=TabulatedFamily.value_tuple)
+                       for m in solutions(list(masks), rows, k + 1)), key=TabulatedFamily.value_tuple)
     return FamilySet(alphabet, horizon, tuple(families))
 
 

@@ -149,17 +149,23 @@ def holds(kind, values, arg):
     return values in arg if kind == "listed" else any(v != arg for v in values)
 
 
-@settings(max_examples=200, deadline=None)
-@given(constraint_problems())
-def test_solutions_match_brute_force(problem):
-    width, masks, constraints = problem
+def posted(masks, constraints, width):
+    """The watch of ``constraints``, posted in order."""
     watch = [[] for _ in masks]
     for kind, variables, arg in constraints:
         supports = (core.listed(arg, width) if kind == "listed"
                     else core.not_all(arg, len(variables), width))
         core.post(watch, variables, supports)
+    return watch
+
+
+@settings(max_examples=200, deadline=None)
+@given(constraint_problems())
+def test_solutions_match_brute_force(problem):
+    width, masks, constraints = problem
+    watch = posted(masks, constraints, width)
     got = sorted(tuple(m.bit_length() - 1 for m in solution)
-                 for solution in core.solutions(list(masks), watch, width))
+                 for solution in core.solutions(list(masks), core.rows(watch), width))
     want = [values for values in itertools.product(range(width), repeat=len(masks))
             if all(m >> v & 1 for m, v in zip(masks, values))
             and all(holds(kind, tuple(values[x] for x in variables), arg)
@@ -175,10 +181,76 @@ def test_a_unary_constraint_is_refused():
     assert watch == [[], []]
 
 
-def old_solutions(masks, watch, width, changed=None):
+def generic_propagate(masks, watch, width, changed):
+    """``core.propagate`` before its rows were compiled by arity: one loop
+    over every row of a watch, kept as the reference for the compiled rows."""
+    stack = list(changed)
+    while stack:
+        for x, others, support in watch[stack.pop()]:
+            key = 0
+            for y in others:
+                key = key << width | masks[y]
+            narrowed = masks[x] & support[key]
+            if narrowed != masks[x]:
+                if not narrowed:
+                    return False
+                masks[x] = narrowed
+                stack.append(x)
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(constraint_problems(), st.data())
+def test_compiled_rows_propagate_as_the_generic_loop(problem, data):
+    width, masks, constraints = problem
+    watch = posted(masks, constraints, width)
+    changed = data.draw(st.lists(st.sampled_from(range(len(masks))), unique=True))
+    got = list(masks)
+    result = core.propagate(got, core.rows(watch), width, changed)
+    # the same rows in the compiled order (binary, ternary, wider) take the
+    # same steps, so even a wipeout leaves the same masks
+    by_arity = [sorted(w, key=lambda row: min(len(row[1]), 3)) for w in watch]
+    want = list(masks)
+    assert result == generic_propagate(want, by_arity, width, changed)
+    assert got == want
+    # in filing order the steps differ, but the outcome and a fixpoint do not
+    filed = list(masks)
+    assert result == generic_propagate(filed, watch, width, changed)
+    if result:
+        assert got == filed
+
+
+@pytest.mark.parametrize("v", range(3))
+def test_a_ternary_row_keys_its_first_other_most_significant(v):
+    # only (0, 1, 2) is allowed: with the others' masks swapped in the key,
+    # the singleton propagated from would have no support
+    watch = [[] for _ in range(3)]
+    core.post(watch, (0, 1, 2), core.listed(((0, 1, 2),), 3))
+    masks = [7, 7, 7]
+    masks[v] = 1 << v
+    assert core.propagate(masks, core.rows(watch), 3, (v,))
+    assert masks == [1, 2, 4]
+
+
+@settings(max_examples=100, deadline=None)
+@given(constraint_problems())
+def test_rows_are_tuples_and_leave_the_watch_alone(problem):
+    width, masks, constraints = problem
+    watch = posted(masks, constraints, width)
+    before = [list(w) for w in watch]
+    rows = core.rows(watch)
+    assert watch == before
+
+    def tuples(value):
+        return isinstance(value, int) or isinstance(value, tuple) and all(map(tuples, value))
+
+    assert tuples(rows)
+
+
+def old_solutions(masks, rows, width, changed=None):
     """The recursive search core ``core.solutions`` replaced, kept as the
     reference for its order."""
-    if not core.propagate(masks, watch, width,
+    if not core.propagate(masks, rows, width,
                           range(len(masks)) if changed is None else changed):
         return
     x = next((x for x, m in enumerate(masks) if m & m - 1), None)
@@ -187,20 +259,17 @@ def old_solutions(masks, watch, width, changed=None):
         return
     for value in range(width):
         if masks[x] >> value & 1:
-            yield from old_solutions(masks[:x] + [1 << value] + masks[x + 1:], watch, width, (x,))
+            yield from old_solutions(masks[:x] + [1 << value] + masks[x + 1:], rows, width, (x,))
 
 
 @settings(max_examples=200, deadline=None)
 @given(constraint_problems())
 def test_solutions_come_in_the_recursive_order_which_is_lexicographic(problem):
     width, masks, constraints = problem
-    watch = [[] for _ in masks]
-    for kind, variables, arg in constraints:
-        supports = (core.listed(arg, width) if kind == "listed"
-                    else core.not_all(arg, len(variables), width))
-        core.post(watch, variables, supports)
-    got = [list(solution) for solution in core.solutions(list(masks), watch, width)]
-    assert got == [list(solution) for solution in old_solutions(list(masks), watch, width)]
+    watch = posted(masks, constraints, width)
+    rows = core.rows(watch)
+    got = [list(solution) for solution in core.solutions(list(masks), rows, width)]
+    assert got == [list(solution) for solution in old_solutions(list(masks), rows, width)]
     values = [tuple(m.bit_length() - 1 for m in solution) for solution in got]
     assert values == sorted(set(values))
 

@@ -165,6 +165,11 @@ def test_three_alternatives_h6_with_c6_keeps_14_families():
     assert len(families(3, 6, True).families) == 14
 
 
+def test_three_alternatives_h6_keeps_10528_families():
+    # the largest plain search tier-1 affords; no golden file reaches it
+    assert len(families(3, 6).families) == 10528
+
+
 # --- maximal_elements against the pairwise loop ---------------------------------
 
 
