@@ -17,28 +17,27 @@ switching from order i to order j leads from ``code`` to
 ``code + (j - i)*m^(n-1-v)``.  A ``TabulatedSWF`` is read by code and never
 evaluated; any other SWF is evaluated on each profile once during one check,
 when its code is first read, in the order in which a per-profile loop would
-first evaluate it.  Its answer is found in the index by identity (the orders
-are built once, so tables, profiles and survivors share them), then by
-equality; a ``WeakOrder`` outside the index (blocks listed in another order,
-other alternatives) is read through ``WeakOrder.stance`` pair by pair, so
-verdicts and raised errors do not depend on the tables.  An answer that is not
-a ``WeakOrder`` is read through its ``stance`` too, so ``None`` raises
-AttributeError on its first stance read.
+first evaluate it.  Its answer is found in the index by equality; a
+``WeakOrder`` outside the index (blocks listed in another order, other
+alternatives) is read through ``WeakOrder.stance`` pair by pair, so verdicts
+and raised errors do not depend on the tables.  An answer that is not a
+``WeakOrder`` is read through its ``stance`` too, so ``None`` raises
+AttributeError on its first stance read.  A domain of more than
+``core.PROFILE_BUDGET`` profiles raises BoundError before any table is built.
 
 A ``TabulatedSWF`` is its orders' indices, one byte per code: its
-constructor finds each value in the index, by identity or equality, and
-refuses any other value; its orders are read from the bytes when asked for.
-For a table ``find_dictator`` decides, and ``check_a2`` and the pair
-factoring of ``check_a3`` screen, with whole-column set operations over three
-more tables, built on first use: per dictator premise, the (voter order,
-social order) index pairs, of the m x m, in which the social order honours
-every premise pair of the voter's; per voter, the voter's order index at
-every code; and per voter, the codes grouped by that voter's order, so that a
-single-pair move i -> j takes group i to group j position by position, with
-per move the (social before, social after) index pairs that drop a
-moved-toward pair.  A failed screen falls back to the per-code loop, which
-gives the witness and ``profiles_checked``.  ``arrow_search``'s survivors
-carry the search's own index bytes.
+constructor finds each value in the index and refuses any other value; its
+orders are read from the bytes when asked for.  For a table
+``find_dictator`` decides, and ``check_a2`` screens, with whole-column set
+operations over three more tables, built on first use: per dictator premise,
+the (voter order, social order) index pairs, of the m x m, in which the
+social order honours every premise pair of the voter's; per voter, the
+voter's order index at every code; and per voter, the codes grouped by that
+voter's order, so that a single-pair move i -> j takes group i to group j
+position by position, with per move the (social before, social after) index
+pairs that drop a moved-toward pair.  A failed screen falls back to the
+per-code loop, which gives the witness and ``profiles_checked``.
+``arrow_search``'s survivors carry the search's own index bytes.
 """
 
 from __future__ import annotations
@@ -167,9 +166,9 @@ class TabulatedSWF(SWF):
     The table is one byte per profile, in ``sorted_profiles`` order: the index
     of its social order among the domain's weak orders.  A profile is looked
     up by its code in the domain's order tables (see the module docstring),
-    which every table of the domain shares.  Every value must be one of the
-    domain's orders, found by identity or by equality; anything else raises
-    ValueError, as does a domain of more than 256 orders.
+    which every table of the domain shares.  Every value must equal one of
+    the domain's orders; anything else raises ValueError, as does a domain of
+    more than 256 orders.
     """
 
     def __init__(self, alternatives: tuple[str, ...], n: int,
@@ -215,8 +214,13 @@ class TabulatedSWF(SWF):
 
 @functools.lru_cache(maxsize=None)
 def sorted_profiles(alternatives: tuple[str, ...], n: int) -> tuple[ArrowProfile, ...]:
-    """All order profiles in canonical enumeration order, built once per domain."""
+    """All order profiles in canonical enumeration order, built once per domain.
+    More than ``core.PROFILE_BUDGET`` of them (m^n, m weak orders) raise
+    BoundError before any is built."""
     orders = enumerate_weak_orders(alternatives)
+    if core.profile_count(len(orders), n) > core.PROFILE_BUDGET:
+        raise BoundError(f"{n} voters over {len(orders)} weak orders exceed the budget "
+                         f"of {core.PROFILE_BUDGET} profiles")
     return tuple(itertools.product(orders, repeat=n))
 
 
@@ -237,6 +241,12 @@ def anti_dictator_swf(alternatives: tuple[str, ...], n: int, voter: int) -> SWF:
                        f"anti-dictator:{voter}")
 
 
+def _order_by_score(alternatives: tuple[str, ...], score: Mapping[str, int]) -> WeakOrder:
+    """Higher scores first, equal scores in one block, in the alternatives' order."""
+    levels = sorted(set(score.values()), reverse=True)
+    return WeakOrder(tuple(tuple(a for a in alternatives if score[a] == lv) for lv in levels))
+
+
 def borda_swf(alternatives: tuple[str, ...], n: int) -> SWF:
     """Rank by summed Borda scores (ties share the midpoint credit).
 
@@ -252,11 +262,7 @@ def borda_swf(alternatives: tuple[str, ...], n: int) -> SWF:
             levels = [w.level(a) for a in alternatives]
             for a, la in zip(alternatives, levels):
                 scores[a] += 2 * sum(map(la.__lt__, levels)) + levels.count(la) - 1
-        levels = sorted(set(scores.values()), reverse=True)
-        blocks = tuple(
-            tuple(a for a in alternatives if scores[a] == lv) for lv in levels
-        )
-        return WeakOrder(blocks)
+        return _order_by_score(alternatives, scores)
 
     return FunctionSWF(alternatives, n, run, "borda")
 
@@ -300,10 +306,9 @@ class _OrderTables:
     order profiles of ``n`` voters; see the module docstring."""
 
     def __init__(self, alternatives: tuple[str, ...], n: int):
+        self.profiles = sorted_profiles(alternatives, n)  # first: it checks the budget
         self.orders = enumerate_weak_orders(alternatives)
         self.index = {w: i for i, w in enumerate(self.orders)}
-        # each order's index keyed by identity: the tables keep the orders alive
-        self.at = {id(w): i for i, w in enumerate(self.orders)}
         labels = zip(*(str(w).encode() for w in self.orders))  # by column, for descriptors
         self.label_columns = tuple(bytes(column).ljust(256, b"\0") for column in labels)
         self.pairs = tuple(_ordered_pairs(alternatives))
@@ -329,7 +334,6 @@ class _OrderTables:
                            for row in self.stances)
             for premise, floor in _PREMISE_FLOOR.items()
         }
-        self.profiles = sorted_profiles(alternatives, n)
         self.codes = {x: code for code, x in enumerate(self.profiles)}
         m = len(self.orders)
         self.weights = tuple(m ** (n - 1 - v) for v in range(n))
@@ -341,14 +345,11 @@ class _OrderTables:
         )
 
     def find(self, order: object) -> int | None:
-        """The order's index, by identity, then by equality; None outside the index."""
-        i = self.at.get(id(order))
-        if i is None:
-            try:
-                i = self.index.get(order)
-            except TypeError:  # unhashable, so not an indexed order
-                pass
-        return i
+        """The index of the order it equals; None outside the index."""
+        try:
+            return self.index.get(order)
+        except TypeError:  # unhashable, so not an indexed order
+            return None
 
     def label_text(self, indices: bytes) -> bytearray:
         """The labels of the orders at ``indices`` joined by "|", a column at a time:
@@ -480,17 +481,11 @@ def _responsive(indices: bytes, tables: _OrderTables) -> bool:
     return True
 
 
-def _pair_factor(swf: SWF, read: Callable[[int], _Row], tables: _OrderTables,
+def _pair_factor(read: Callable[[int], _Row], tables: _OrderTables,
                  p: int) -> tuple[PairTable, tuple[int, int] | None]:
     """The social stance on ordered pair p as a table over the voters' stances
     on the pair, or the codes of the first two profiles sharing voter stances
     but not the social one."""
-    if swf._indices is not None:  # screened on whole columns first
-        keys = tables.voter_stances[p]
-        column = [tables.stances[i][p] for i in swf._indices]
-        screened = dict(zip(keys, column))
-        if len(screened) == len(set(zip(keys, column))):
-            return screened, None
     table: PairTable = {}
     first: dict[tuple[Stance, ...], int] = {}
     for code, key in enumerate(tables.voter_stances[p]):
@@ -507,7 +502,7 @@ def check_a3(swf: SWF) -> ArrowCheckResult:
     domain = _tables(swf.alternatives, swf.n)
     read = _social(swf, domain)
     for a, b in _unordered_pairs(swf.alternatives):
-        _, conflict = _pair_factor(swf, read, domain, domain.pair_index[(a, b)])
+        _, conflict = _pair_factor(read, domain, domain.pair_index[(a, b)])
         if conflict is not None:
             w = ArrowWitness(
                 *(domain.profiles[code] for code in conflict), (a, b),
@@ -604,16 +599,9 @@ def pairwise_majority_swf(
         not (ge(a, b) and ge(b, c)) or ge(a, c)
         for a in alternatives for b in alternatives for c in alternatives
     )
-    order = _order_from_ge(alternatives, ge) if transitive else None
+    score = {a: sum(ge(a, b) for b in alternatives) for a in alternatives}
+    order = _order_by_score(alternatives, score) if transitive else None
     return PairwiseMajorityResult(stances, transitive, order)
-
-
-def _order_from_ge(alternatives: tuple[str, ...], ge: Callable[[str, str], bool]) -> WeakOrder:
-    score = {a: sum(1 for b in alternatives if ge(a, b)) for a in alternatives}
-    levels = sorted(set(score.values()), reverse=True)
-    return WeakOrder(
-        tuple(tuple(a for a in alternatives if score[a] == lv) for lv in levels)
-    )
 
 
 def factor_into_pair_functions(
@@ -630,7 +618,7 @@ def factor_into_pair_functions(
     read = _social(swf, domain)
     factors: dict[tuple[str, str], PairTable] = {}
     for a, b in _unordered_pairs(swf.alternatives):
-        factors[(a, b)], conflict = _pair_factor(swf, read, domain, domain.pair_index[(a, b)])
+        factors[(a, b)], conflict = _pair_factor(read, domain, domain.pair_index[(a, b)])
         if conflict is not None:
             return None
     return factors
@@ -676,7 +664,8 @@ def _search_network(alternatives: tuple[str, ...], n: int) -> tuple[
 
 def arrow_search(n: int = 2, alternatives: tuple[str, ...] = ("a", "b", "c")) -> tuple[TabulatedSWF, ...]:
     """All SWFs satisfying soundness, responsiveness, pair independence and
-    non-imposition, by constraint propagation; desk scale only.
+    non-imposition, by constraint propagation; desk scale only, 1 to 3 voters,
+    a fixed bound: its cost grows with the solutions listed, not with profiles.
 
     Pair independence makes every candidate factor into three pair functions
     on ((a,b), (b,c), (a,c)): one variable per pair and stance vector, a mask

@@ -5,24 +5,25 @@ counterexample exists within the bounds, never a sample.  A reported witness is
 minimal (smallest failing profile size, then lexicographically first in the
 alphabet's canonical order), so reports are reproducible byte for byte.
 
-Every checker reads one evaluation pass, an :class:`Outcomes` table: the
-rule's outcome on each raw profile, stored under the profile's base-|A| code
-(ballots are digits in alphabet order, the first ballot most significant).
-Code order is the order of ``profiles_of_size``, so the first failing code is
-the minimal witness.  A slot is evaluated once and then kept, an evaluation
-that raised included: :func:`audit` hands one table to every selected checker.
-On the audit's table, C2, C3, C6 and the May checkers (each reads every profile
-of a size when it passes) fill each size in code order just before they scan
-it (:meth:`Outcomes.fill`), up to the first profile that raises or answers
-outside the alphabet; later slots wait for a checker's first read.  Other
-checkers, and every checker on its own table, evaluate only the profiles they
-read.  A slot's profile is built without re-validation: its ballots are the
-alphabet's own symbols, and it equals, and hashes like, the checked
-``Profile``.  Checkers read the slots in the order of a per-profile loop, and a
-filled slot holds a symbol, so an error surfaces at the same profile.  Moves
-between profiles are index arithmetic: a voter joining with ballot d leads to
-``code*k + d``, a relabeling maps every digit, and a changed ballot at voter v
-adds ``(new-old)*k^(n-1-v)``.
+Every checker reads one evaluation pass, an :class:`Outcomes` table: the rule's
+outcome on each raw profile, stored under the profile's base-|A| code (ballots
+are digits in alphabet order, the first ballot most significant).  Code order
+is the order of ``profiles_of_size``, so the first failing code is the minimal
+witness.  A slot is evaluated once and then kept, an evaluation that raised
+included: :func:`audit` hands one table to every selected checker.  A table
+handed in is shared, and later checkers read what one skips, so C2, C3, C6 and
+the May checkers (each reads every profile of a size when it passes) fill each
+size of it in code order just before they scan it (:meth:`Outcomes.fill`), up
+to the first profile that raises or answers outside the alphabet; later slots
+wait for a checker's first read.  Other checkers, and every checker on a table
+of its own, which dies with the check, evaluate only the profiles they read.  A
+slot's profile is built without re-validation: its ballots are the alphabet's
+own symbols, and it equals, and hashes like, the checked ``Profile``.  Checkers
+read the slots in the order of a per-profile loop, and a filled slot holds a
+symbol, so an error surfaces at the same profile.  Moves between profiles are
+index arithmetic: a voter joining with ballot d leads to ``code*k + d``, a
+relabeling maps every digit, and a changed ballot at voter v adds
+``(new-old)*k^(n-1-v)``.
 
 The relabeling checks (C2, MA3) read each orbit once.  The relabelings a
 check tests, with the identity, form a group G that acts on profiles and on
@@ -169,14 +170,14 @@ _PENDING = object()
 class Outcomes:
     """The rule's outcome on raw profiles by base-|A| code, each evaluated once.
 
-    Built by :func:`audit` for all of its checkers (``fills``), or by a checker
-    called without one.  A slot's profile is built from its code when the slot
-    is first read, or when :meth:`fill` reaches it.
+    Built by :func:`audit` or another caller to share among checkers, which
+    then fill the sizes they scan whole, or by a checker called without one.
+    A slot's profile is built from its code when the slot is first read, or
+    when :meth:`fill` reaches it.
     """
 
-    def __init__(self, rule: RuleFamily, *, fills: bool = False):
+    def __init__(self, rule: RuleFamily):
         self.rule = rule
-        self.fills = fills  # whole-size scans fill each size first (see _sweep)
         self.alphabet = rule.alphabet
         self.k = len(rule.alphabet.alternatives)
         self._digit = {s: d for d, s in enumerate(rule.alphabet.alternatives)}
@@ -333,16 +334,18 @@ def _sweep(rule: RuleFamily, axiom: str, n_max: int, sizes: range, reads: range,
     ``rule`` (or a new table is made) and ``sizes`` is not empty,
     ``scan(table, size)`` gives each size's witness or None and its profile
     count, up to the first witness.  A ``whole`` scan reads every profile of
-    its size when it passes, so a ``fills`` table is filled there first."""
+    its size when it passes, so a table handed in, which later checkers share,
+    is filled there first; a table made here stays lazy."""
     profile_budget(rule.alphabet, n_max, reads)
-    if outcomes is None:
+    shared = outcomes is not None
+    if not shared:
         outcomes = Outcomes(rule)
     elif outcomes.rule is not rule:
         raise ValueError("the outcome table belongs to another rule")
     _require_extensible(axiom, n_max, sizes)
     checked = 0
     for size in sizes:
-        if whole and outcomes.fills:
+        if whole and shared:
             outcomes.fill(size)
         witness, count = scan(outcomes, size)
         checked += count
@@ -762,7 +765,7 @@ def audit(
             raise VoteLabError(f"unknown axiom {a!r}")
         if a in (C4, C5, TIE_CLOSURE):
             _require_extensible(a, n_max, range(n_max))
-    outcomes = Outcomes(rule, fills=True)
+    outcomes = Outcomes(rule)
     results = []
     for axiom in ALL_AXIOMS:
         if axiom not in axioms:

@@ -231,9 +231,9 @@ def family_from_json(doc: dict) -> TabulatedFamily:
         table = {tuple(counts): value for counts, value in doc["entries"]}
         if not {int}.issuperset(map(type, chain.from_iterable(table))):
             raise ValueError("signature counts must be ints")
+        return TabulatedFamily.from_table(alphabet, horizon, table)
     except (KeyError, TypeError, ValueError) as exc:
         raise RuleDomainError(f"malformed tabulated family document: {exc}") from exc
-    return TabulatedFamily.from_table(alphabet, horizon, table)
 
 
 def load_family_file(path: str) -> TabulatedFamily:
@@ -244,10 +244,7 @@ def load_family_file(path: str) -> TabulatedFamily:
         raise RuleDomainError(f"cannot read tabulated family file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise RuleDomainError(f"tabulated family file is not valid JSON: {exc}") from exc
-    try:
-        return family_from_json(doc)
-    except ValueError as exc:
-        raise RuleDomainError(f"malformed tabulated family document: {exc}") from exc
+    return family_from_json(doc)
 
 
 # --- report documents -------------------------------------------------------
@@ -367,10 +364,6 @@ def _emit(doc: dict, out_path: str | None) -> None:
 
 # --- axiom list parsing -----------------------------------------------------
 
-_C_ORDER = ["C2", "C3", "C4", "C5", "C6"]
-_MA_ORDER = ["MA2", "MA3", "MA4"]
-
-
 def parse_axiom_list(raw: str) -> tuple[str, ...]:
     chosen: list[str] = []
     for token in raw.split(","):
@@ -379,7 +372,7 @@ def parse_axiom_list(raw: str) -> tuple[str, ...]:
             continue
         if "-" in token:
             lo, _, hi = token.partition("-")
-            seq = _C_ORDER if lo.startswith("C") else _MA_ORDER
+            seq = axioms.C_AXIOMS if lo.startswith("C") else axioms.MA_AXIOMS
             if lo not in seq or hi not in seq or seq.index(lo) > seq.index(hi):
                 raise VoteLabError(f"bad axiom range {token!r}")
             chosen.extend(seq[seq.index(lo): seq.index(hi) + 1])

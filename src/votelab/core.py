@@ -242,9 +242,19 @@ def profiles_of_size(alphabet: Alphabet, size: int) -> Iterator[Profile]:
 
 
 PROFILE_BUDGET = 400_000
-"""Most raw profiles one run may touch.  It admits every bound the tests, the
-README examples and the benchmark use, and 3 alternatives at n=8 with C6
-(349,525 profiles), whose outcome table then holds every one of them."""
+"""Most profiles one run may touch: the one bound on every job whose cost is a
+count of profiles.  It holds the raw-profile checkers, the May enumeration
+(whose cross-check reads 3^n profiles: n <= 11) and the Arrow checkers' m^n
+order profiles (m weak orders: 3 alternatives reach n=5, 4 reach n=2).  It
+admits every bound the tests, the README examples and the benchmark use, and
+3 alternatives at n=8 with C6 (349,525 profiles), whose outcome table then
+holds every one of them."""
+
+
+def profile_count(k: int, size: int) -> int:
+    """k^size, the profiles of ``size`` ballots of k kinds; PROFILE_BUDGET + 1,
+    without computing the power, once k >= 2 and that level alone exceeds it."""
+    return k ** size if k < 2 or size < PROFILE_BUDGET.bit_length() else PROFILE_BUDGET + 1
 
 
 def profile_budget(alphabet: Alphabet, n_max: int, sizes: range) -> int:
@@ -259,8 +269,7 @@ def profile_budget(alphabet: Alphabet, n_max: int, sizes: range) -> int:
     k = len(alphabet.alternatives)
     total = 0
     for size in sizes:
-        # k >= 2, so from this size on one level alone is over the budget
-        total += k ** size if size < PROFILE_BUDGET.bit_length() else PROFILE_BUDGET + 1
+        total += profile_count(k, size)
         if total > PROFILE_BUDGET:
             raise BoundError(
                 f"max voters {n_max} over {k} ballot symbols exceeds the budget "

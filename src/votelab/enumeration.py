@@ -41,11 +41,10 @@ from . import axioms
 
 MAY_VALUES = (-1, 0, 1)
 
-# Bounds of the two enumerators.  They stay fixed rather than follow
-# core.PROFILE_BUDGET: what an enumeration costs grows with the families it
-# lists, not with profiles (at 3 alternatives, h=7 without C6 lists 356,160
-# families: 6.8-7.1 s and 435 MB peak RSS in-process, 2-vCPU Xeon VM, Python 3.11).
-MAY_MAX_VOTERS = 4
+# The family enumerator's bound stays fixed rather than follow
+# core.PROFILE_BUDGET: what it costs grows with the families it lists, not
+# with profiles (at 3 alternatives, h=7 without C6 lists 356,160 families:
+# 6.8-7.1 s and 435 MB peak RSS in-process, 2-vCPU Xeon VM, Python 3.11).
 MAX_HORIZON = 8
 
 
@@ -141,11 +140,14 @@ def enumerate_may_functions(n: int, semantics: str = "in_favor") -> tuple[MayFun
     self-negating triples to 0 and ties every other triple to its mirror, and
     each single-voter move is one responsiveness constraint between its two
     triples; :func:`core.solutions` lists the tables these allow.  Every
-    emitted table is re-checked against the raw-profile checkers.  A voter
-    count that is not an int in 1..MAY_MAX_VOTERS raises BoundError.
+    emitted table is re-checked against the raw-profile checkers, which read
+    all 3^n profiles, so the bound is ``core.PROFILE_BUDGET`` (n <= 11).  A
+    voter count that is not a positive int, or is over that bound, raises
+    BoundError before the network is built.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAY_MAX_VOTERS:
-        raise BoundError(f"voter count {n!r} outside enumeration bound 1..{MAY_MAX_VOTERS}")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise BoundError(f"voter count {n!r} is not a positive int")
+    profile_budget(Alphabet.may(), n, range(n, n + 1))
     masks, rows = _may_network(n, semantics)
     found = sorted((MayFunctionTable(n, tuple(m.bit_length() - 2 for m in s))
                     for s in solutions(list(masks), rows, 3)), key=MayFunctionTable.value_tuple)
@@ -156,7 +158,8 @@ def enumerate_may_functions(n: int, semantics: str = "in_favor") -> tuple[MayFun
 
 def _cross_check_may(table: MayFunctionTable, semantics: str) -> None:
     """Independent route: the raw-profile checkers must agree with the
-    table-level enumeration constraints."""
+    table-level enumeration constraints.  They share one outcome table, so it
+    is filled in code order and each profile is evaluated once."""
     rule = table.as_rule()
     outcomes = axioms.Outcomes(rule)
     for res in (

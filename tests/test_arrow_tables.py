@@ -12,6 +12,7 @@ and must still give the loop's result.
 
 import functools
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,7 @@ from votelab.arrow import (
     projection_swf,
     sorted_profiles,
 )
+from votelab.core import BoundError
 
 ALTS = ("a", "b", "c")
 
@@ -480,3 +482,27 @@ def test_a_table_refuses_more_orders_than_a_byte_indexes_before_any_table_is_bui
     with pytest.raises(ValueError, match="at most 256 weak orders"):
         TabulatedSWF(("a", "b", "c", "d", "e"), 1, [])
     assert arrow._tables.cache_info() == before
+
+
+# m^n order profiles over core.PROFILE_BUDGET: 13^6 and 75^3 are the least over it
+@pytest.mark.parametrize("alternatives, n", [
+    (ALTS, 6), (ALTS + ("d",), 3), (ALTS, 10 ** 6), (ALTS + ("d",), 10 ** 6)])
+@pytest.mark.parametrize("check", [
+    sorted_profiles,
+    lambda alternatives, n: arrow.check_a4(projection_swf(alternatives, n, 0)),
+], ids=["sorted-profiles", "check-a4"])
+def test_a_domain_over_the_budget_is_refused_before_any_table_is_built(check, alternatives, n):
+    caches = (arrow._tables, sorted_profiles)
+    before = [cache.cache_info().currsize for cache in caches]
+    start = time.perf_counter()
+    with pytest.raises(BoundError, match="exceed the budget"):
+        check(alternatives, n)
+    assert time.perf_counter() - start < 0.5  # neither m^n nor any profile is built
+    assert [cache.cache_info().currsize for cache in caches] == before
+
+
+def test_a_table_over_the_budget_is_refused_by_the_same_guard():
+    abcd = ("a", "b", "c", "d")
+    assert len(sorted_profiles(abcd, 2)) == 75 ** 2  # the largest domain at 4 alternatives
+    with pytest.raises(BoundError, match="3 voters over 75 weak orders exceed the budget"):
+        TabulatedSWF(abcd, 3, [])

@@ -171,6 +171,12 @@ class TestDescriptors:
         fam = pure_majority_table(AB2, 4)
         assert family_from_json(family_json(fam)) == fam
 
+    def test_a_document_missing_a_canonical_key_is_malformed(self):
+        doc = family_json(pure_majority_table(AB2, 2))
+        del doc["entries"][3]
+        with pytest.raises(RuleDomainError, match="^malformed tabulated family document: "):
+            family_from_json(doc)
+
     @pytest.mark.parametrize("k, horizon", [(2, h) for h in range(7)] + [(3, h) for h in range(5)])
     def test_family_entries_are_the_signatures_with_their_values(self, k, horizon):
         alphabet = Alphabet.make(k)
@@ -367,7 +373,7 @@ class TestBoundsAndDocs:
         assert not out.exists()
 
     def test_may_bound_exits_3(self):
-        assert main(["may", "--voters", "9"]) == 3
+        assert main(["may", "--voters", "12"]) == 3
 
     def test_negative_audit_bound_exits_3_without_report(self, tmp_path):
         out = tmp_path / "r.json"

@@ -90,14 +90,14 @@ class TestMayEnumeration:
         got = [t.value_tuple() for t in enumerate_may_functions(n, semantics)]
         assert sorted(got) == brute_force_may_tables(n, semantics)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_uniqueness_in_favor(self, n):
         tables = enumerate_may_functions(n, "in_favor")
         assert [t.value_tuple() for t in tables] == [
             MayFunctionTable.sign_table(n).value_tuple()
         ]
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_flip_semantics_results_are_stable(self, n):
         first = [t.value_tuple() for t in enumerate_may_functions(n, "flip")]
         second = [t.value_tuple() for t in enumerate_may_functions(n, "flip")]
@@ -106,7 +106,11 @@ class TestMayEnumeration:
 
     def test_bound_rejected(self):
         with pytest.raises(BoundError):
-            enumerate_may_functions(9)
+            enumerate_may_functions(12)
+
+    def test_the_profile_budget_admits_eleven_voters(self):
+        # the cross-check reads all 3^11 = 177,147 profiles; 3^12 is over the budget
+        assert enumerate_may_functions(11) == (MayFunctionTable.sign_table(11),)
 
     def test_a_bool_voter_count_is_refused_before_any_work(self, monkeypatch):
         monkeypatch.setattr(enumeration, "compositions", no_work)
@@ -410,12 +414,12 @@ def test_a_search_leaves_its_cached_network_unchanged(network, args, search):
     (lambda: enumerate_c_families(Alphabet.make(1), 2), RuleDomainError),
     (lambda: enumerate_c_families(Alphabet.make(4), 2), BoundError),
     (lambda: enumerate_may_functions(0), BoundError),
-    (lambda: enumerate_may_functions(5), BoundError),
+    (lambda: enumerate_may_functions(12), BoundError),
     (lambda: enumerate_may_functions(True), BoundError),
     (lambda: enumerate_may_functions(2, "sideways"), VoteLabError),
     (lambda: arrow.arrow_search(4), BoundError),
 ], ids=["bool-horizon", "float-horizon", "negative-horizon", "horizon-over-bound",
-        "one-alternative", "four-alternatives", "no-voters", "five-voters", "bool-voters",
+        "one-alternative", "four-alternatives", "no-voters", "twelve-voters", "bool-voters",
         "unknown-semantics", "arrow-four-voters"])
 def test_a_refused_search_caches_no_network(call, error):
     before = [network.cache_info().currsize for network in NETWORKS]

@@ -43,7 +43,7 @@ from votelab.rules import (
     TabulatedRule,
     pure_majority_table,
 )
-from votelab import axioms, cli
+from votelab import axioms, cli, enumeration
 from votelab.axioms import ALL_AXIOMS, CheckResult, Witness
 
 AB2 = Alphabet.make(2)
@@ -648,6 +648,51 @@ def test_audit_fills_every_level_in_code_order_first(selected):
     levels = ballots_up_to(AB3, 3)
     assert received[:len(levels)] == levels
     assert len(set(received)) == len(received)  # each profile once, C6's probes included
+
+
+@pytest.mark.parametrize("check, alphabet, sizes", [
+    (axioms.check_c2, AB3, range(4)),
+    (axioms.check_c3, AB3, range(4)),
+    (axioms.check_c6, AB3, range(4)),
+    (axioms.check_ma2, MAY, range(4, 5)),
+    (axioms.check_ma3, MAY, range(4, 5)),
+    (axioms.check_ma4, MAY, range(4, 5)),
+], ids=["C2", "C3", "C6", "MA2", "MA3", "MA4"])
+def test_a_checker_handed_a_table_fills_each_size_before_it_scans_it(check, alphabet, sizes):
+    # a table handed in is shared, so later checkers read what this one skips
+    plain = MaySignRule() if alphabet is MAY else PureMajorityRule(alphabet)
+    rule, received = in_order(plain)
+    assert check(rule, sizes[-1], outcomes=axioms.Outcomes(rule)).passed
+    expected = []
+    for size in sizes:
+        level = list(itertools.product(alphabet.alternatives, repeat=size))
+        expected += [b for b in level if b not in expected]
+        if check is not axioms.check_c6:
+            continue
+        for b in level:  # then C6's probes of each tied profile, up to a conclusive one
+            if plain.evaluate(Profile(alphabet, b)) != "_":
+                continue
+            for d in alphabet.alternatives:
+                if b + (d,) not in expected:
+                    expected.append(b + (d,))
+                if plain.evaluate(Profile(alphabet, b + (d,))) != "_":
+                    break
+    assert received == expected
+
+
+@pytest.mark.parametrize("semantics", ["in_favor", "flip"])
+def test_the_may_cross_check_evaluates_each_profile_once_in_code_order(monkeypatch, semantics):
+    received = []
+    as_rule = enumeration.MayFunctionTable.as_rule
+
+    def recorded(table):
+        rule, seen = in_order(as_rule(table))
+        received.append(seen)
+        return rule
+
+    monkeypatch.setattr(enumeration.MayFunctionTable, "as_rule", recorded)
+    enumeration._cross_check_may(enumeration.MayFunctionTable.sign_table(4), semantics)
+    assert received == [list(itertools.product(MAY.alternatives, repeat=4))]
 
 
 def test_a_fill_after_lazy_reads_evaluates_each_profile_once():
