@@ -9,11 +9,12 @@ encoded +1 (strictly better), 0 (indifferent), -1 (strictly worse).
 The checkers read per-domain order tables, built once per (alternatives, n) on
 first use: the weak orders and their index, each order's stance on every
 ordered pair, each order's single-pair-change neighbours with the (hi, lo)
-moves that responsiveness tests, and each order's premise pairs under either
-dictator premise.  A profile is addressed by its base-m code (m weak orders,
-voter 0 the most significant digit: the order of ``sorted_profiles``; the
-tables map each profile to its code for ``TabulatedSWF``), so voter v
-switching from order i to order j leads from ``code`` to
+moves that responsiveness tests, each order's premise pairs under either
+dictator premise, and per ordered pair each profile's stance vector code (base
+3, digit stance + 1, voter 0 the most significant), read by A3 and
+``arrow_search``.  A profile is addressed by its base-m code (m weak orders,
+voter 0 the most significant digit: the order of ``sorted_profiles``), so
+voter v switching from order i to order j leads from ``code`` to
 ``code + (j - i)*m^(n-1-v)``.  A ``TabulatedSWF`` is read by code and never
 evaluated; any other SWF is evaluated on each profile once during one check,
 when its code is first read, in the order in which a per-profile loop would
@@ -25,19 +26,20 @@ and raised errors do not depend on the tables.  An answer that is not a
 AttributeError on its first stance read.  A domain of more than
 ``core.PROFILE_BUDGET`` profiles raises BoundError before any table is built.
 
-A ``TabulatedSWF`` is its orders' indices, one byte per code: its
-constructor finds each value in the index and refuses any other value; its
-orders are read from the bytes when asked for.  For a table
+A ``TabulatedSWF`` is its orders' indices, one byte per code: its constructor
+finds each value in the index and refuses any other value; its orders are read
+from the bytes when asked for, and its ``evaluate`` finds a profile's code in
+a map that no check reads, built on its first call.  For a table
 ``find_dictator`` decides, and ``check_a2`` screens, with whole-column set
 operations over three more tables, built on first use: per dictator premise,
-the (voter order, social order) index pairs, of the m x m, in which the
-social order honours every premise pair of the voter's; per voter, the
-voter's order index at every code; and per voter, the codes grouped by that
-voter's order, so that a single-pair move i -> j takes group i to group j
-position by position, with per move the (social before, social after) index
-pairs that drop a moved-toward pair.  A failed screen falls back to the
-per-code loop, which gives the witness and ``profiles_checked``.
-``arrow_search``'s survivors carry the search's own index bytes.
+the (voter order, social order) index pairs, of the m x m, in which the social
+order honours every premise pair of the voter's; per voter, the voter's order
+index at every code; and per voter, the codes grouped by that voter's order,
+so that a single-pair move i -> j takes group i to group j position by
+position, with per move the (social before, social after) index pairs that
+drop a moved-toward pair.  A failed screen falls back to the per-code loop,
+which gives the witness and ``profiles_checked``.  ``arrow_search``'s survivors
+carry the search's own index bytes.
 """
 
 from __future__ import annotations
@@ -198,25 +200,27 @@ class TabulatedSWF(SWF):
     def _fill(self, alternatives: tuple[str, ...], n: int, indices: bytes,
               descriptor: str | None) -> None:
         domain = _tables(alternatives, n)
-        self._orders, self._codes, self._indices = domain.orders, domain.codes, indices
+        self._orders, self._domain, self._indices = domain.orders, domain, indices
         if descriptor is None:
             text = domain.label_text(indices)
             descriptor = f"swf:sha256:{hashlib.sha256(text).hexdigest()[:12]}"
         super().__init__(alternatives, n, descriptor)
 
     def evaluate(self, profile: ArrowProfile) -> WeakOrder:
-        return self._orders[self._indices[self._codes[profile]]]
+        return self._orders[self._indices[self._domain.codes[profile]]]
 
     def value_tuple(self) -> tuple[WeakOrder, ...]:
         """Orders in canonical profile order; the table's identity for sorting."""
         return tuple(map(self._orders.__getitem__, self._indices))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def sorted_profiles(alternatives: tuple[str, ...], n: int) -> tuple[ArrowProfile, ...]:
     """All order profiles in canonical enumeration order, built once per domain.
-    More than ``core.PROFILE_BUDGET`` of them (m^n, m weak orders) raise
-    BoundError before any is built."""
+    A voter count that is not a non-negative int, or over ``core.PROFILE_BUDGET``
+    profiles (m^n, m weak orders), raises BoundError before any is built."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise BoundError(f"voter count {n!r} is not a non-negative int")
     orders = enumerate_weak_orders(alternatives)
     if core.profile_count(len(orders), n) > core.PROFILE_BUDGET:
         raise BoundError(f"{n} voters over {len(orders)} weak orders exceed the budget "
@@ -334,15 +338,15 @@ class _OrderTables:
                            for row in self.stances)
             for premise, floor in _PREMISE_FLOOR.items()
         }
-        self.codes = {x: code for code, x in enumerate(self.profiles)}
-        m = len(self.orders)
-        self.weights = tuple(m ** (n - 1 - v) for v in range(n))
-        self.digits = tuple(itertools.product(range(m), repeat=n))
-        # per ordered pair, per code: the voters' stances on the pair
-        self.voter_stances = tuple(
-            tuple(tuple(self.stances[i][p] for i in x) for x in self.digits)
-            for p in range(len(self.pairs))
-        )
+        self.weights = tuple(len(self.orders) ** (n - 1 - v) for v in range(n))
+        # per ordered pair, per code: the voters' stance vector code on the pair
+        vectors = []
+        for p in range(len(self.pairs)):
+            codes = [0]
+            for _ in range(n):
+                codes = [c * 3 + row[p] + 1 for c in codes for row in self.stances]
+            vectors.append(tuple(codes))
+        self.vectors = tuple(vectors)
 
     def find(self, order: object) -> int | None:
         """The index of the order it equals; None outside the index."""
@@ -360,7 +364,12 @@ class _OrderTables:
             text[c::step] = indices.translate(column)
         return text
 
-    # --- read only for tables with indices, so built on first use -----------
+    # --- read by some checks only, so built on first use ---------------------
+
+    @functools.cached_property
+    def codes(self) -> dict[ArrowProfile, int]:
+        """Each profile's code, read by ``TabulatedSWF.evaluate``."""
+        return {x: code for code, x in enumerate(self.profiles)}
 
     @functools.cached_property
     def honours(self) -> dict[str, frozenset[tuple[int, int]]]:
@@ -374,14 +383,15 @@ class _OrderTables:
     @functools.cached_property
     def voter_orders(self) -> tuple[bytes, ...]:
         """Per voter: the voter's order index at every code."""
-        return tuple(map(bytes, zip(*self.digits)))
+        m, n = len(self.orders), len(self.weights)
+        return tuple(map(bytes, zip(*itertools.product(range(m), repeat=n))))
 
     @functools.cached_property
     def grouped(self) -> tuple[tuple[int, ...], ...]:
         """Per voter: the codes sorted by the voter's order, then by code.  Group
         i (m^(n-1) codes) holds the profiles in which the voter has order i, and
         the voter moving to order j takes group i to group j position by position."""
-        codes = range(len(self.digits))
+        codes = range(len(self.profiles))
         return tuple(tuple(sorted(codes, key=column.__getitem__)) for column in self.voter_orders)
 
     @functools.cached_property
@@ -389,7 +399,7 @@ class _OrderTables:
         """Per single-pair move i -> j with a moved-toward pair: the slices of
         groups i and j, and the (social before, social after) index pairs that
         drop a moved-toward pair."""
-        size = len(self.digits) // len(self.orders)
+        size = len(self.profiles) // len(self.orders)
         return tuple(
             (slice(i * size, (i + 1) * size), slice(j * size, (j + 1) * size),
              frozenset((s, t) for s, before in enumerate(self.stances)
@@ -400,9 +410,7 @@ class _OrderTables:
         )
 
 
-@functools.lru_cache(maxsize=None)
-def _tables(alternatives: tuple[str, ...], n: int) -> _OrderTables:
-    return _OrderTables(alternatives, n)
+_tables = functools.lru_cache(maxsize=None, typed=True)(_OrderTables)
 
 
 class _ForeignStances:
@@ -452,7 +460,7 @@ def check_a2(swf: SWF) -> ArrowCheckResult:
         return ArrowCheckResult("A2", "pass", None, len(domain.profiles))
     read = _social(swf, domain)
     neighbours, weights = domain.neighbours, domain.weights
-    for code, x in enumerate(domain.digits):
+    for code, x in enumerate(itertools.product(range(len(domain.orders)), repeat=swf.n)):
         fx = read(code)
         for v, i in enumerate(x):
             for j, moves in neighbours[i]:
@@ -482,13 +490,13 @@ def _responsive(indices: bytes, tables: _OrderTables) -> bool:
 
 
 def _pair_factor(read: Callable[[int], _Row], tables: _OrderTables,
-                 p: int) -> tuple[PairTable, tuple[int, int] | None]:
-    """The social stance on ordered pair p as a table over the voters' stances
-    on the pair, or the codes of the first two profiles sharing voter stances
-    but not the social one."""
-    table: PairTable = {}
-    first: dict[tuple[Stance, ...], int] = {}
-    for code, key in enumerate(tables.voter_stances[p]):
+                 p: int) -> tuple[dict[int, Stance], tuple[int, int] | None]:
+    """The social stance on ordered pair p as a table over the voters' stance
+    vector codes on the pair, or the codes of the first two profiles sharing
+    voter stances but not the social one."""
+    table: dict[int, Stance] = {}
+    first: dict[int, int] = {}
+    for code, key in enumerate(tables.vectors[p]):
         social = read(code)[p]
         if table.setdefault(key, social) != social:
             return table, (first[key], code)
@@ -547,7 +555,7 @@ def find_dictator(swf: SWF, premise: str = "strict") -> int | None:
     floor = _PREMISE_FLOOR[premise]
     premises = domain.premises[premise]
     for v in range(swf.n):
-        for code, x in enumerate(domain.digits):
+        for code, x in enumerate(itertools.product(range(len(domain.orders)), repeat=swf.n)):
             fx = read(code)
             if any(fx[p] < floor for p in premises[x[v]]):
                 break
@@ -616,12 +624,13 @@ def factor_into_pair_functions(
     """
     domain = _tables(swf.alternatives, swf.n)
     read = _social(swf, domain)
-    factors: dict[tuple[str, str], PairTable] = {}
+    vectors = tuple(itertools.product((-1, 0, 1), repeat=swf.n))  # the vector at each code
+    factors: dict[tuple[str, str], dict[int, Stance]] = {}
     for a, b in _unordered_pairs(swf.alternatives):
         factors[(a, b)], conflict = _pair_factor(read, domain, domain.pair_index[(a, b)])
         if conflict is not None:
             return None
-    return factors
+    return {q: {vectors[key]: s for key, s in table.items()} for q, table in factors.items()}
 
 
 # --- exhaustive search over pair-decomposable SWFs -------------------------
@@ -639,10 +648,8 @@ def _search_network(alternatives: tuple[str, ...], n: int) -> tuple[
     domain = _tables(alternatives, n)
     a, b, c = alternatives
     pairs = [domain.pair_index[q] for q in ((a, b), (b, c), (a, c))]
-    # variable k*size + s: pair k's stance at the stance vector coded s (base 3,
-    # digit stance + 1, voter 0 most significant: the order of product below)
+    # variable k*size + s: pair k's stance at stance vector code s (``_OrderTables.vectors``)
     size = 3 ** n
-    vector_code = {u: s for s, u in enumerate(itertools.product((-1, 0, 1), repeat=n))}
     watch: core.Watch = [[] for _ in range(3 * size)]
     for x in range(3 * size):  # monotone: one voter's stance up one step
         for step in (3 ** v for v in range(n)):
@@ -650,8 +657,8 @@ def _search_network(alternatives: tuple[str, ...], n: int) -> tuple[
                 core.post(watch, (x, x + step), core.listed(_MONOTONE, 3))
     # each profile's three social stances are one weak order's
     triples = tuple(tuple(row[p] + 1 for p in pairs) for row in domain.stances)
-    # per pair: each profile's stance vector code
-    keys = [bytes(map(vector_code.__getitem__, domain.voter_stances[p])) for p in pairs]
+    # per pair: each profile's stance vector code, a byte since n <= 3
+    keys = [bytes(domain.vectors[p]) for p in pairs]
     for s_ab, s_bc, s_ac in zip(*keys):
         core.post(watch, (s_ab, size + s_bc, 2 * size + s_ac), core.listed(triples, 3))
     masks = ([1] + [7] * (size - 2) + [4]) * 3  # non-imposition: f(-1...) = -1, f(+1...) = +1

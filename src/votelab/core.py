@@ -245,10 +245,11 @@ PROFILE_BUDGET = 400_000
 """Most profiles one run may touch: the one bound on every job whose cost is a
 count of profiles.  It holds the raw-profile checkers, the May enumeration
 (whose cross-check reads 3^n profiles: n <= 11) and the Arrow checkers' m^n
-order profiles (m weak orders: 3 alternatives reach n=5, 4 reach n=2).  It
-admits every bound the tests, the README examples and the benchmark use, and
-3 alternatives at n=8 with C6 (349,525 profiles), whose outcome table then
-holds every one of them."""
+order profiles (m weak orders: 2 alternatives reach n=11, 3 reach n=5, 4 reach
+n=2; at 3 and n=5, profiles and order tables take 0.5 s and 72 MB peak RSS on
+a 2-vCPU Xeon VM).  It admits every bound the tests, the README examples and
+the benchmark use, and 3 alternatives at n=8 with C6 (349,525 profiles), whose
+outcome table then holds every one of them."""
 
 
 def profile_count(k: int, size: int) -> int:

@@ -13,6 +13,7 @@ and must still give the loop's result.
 import functools
 import itertools
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from votelab.arrow import (
     borda_swf,
     constant_swf,
     enumerate_weak_orders,
+    factor_into_pair_functions,
     pairwise_majority_swf,
     projection_swf,
     sorted_profiles,
@@ -506,3 +508,98 @@ def test_a_table_over_the_budget_is_refused_by_the_same_guard():
     assert len(sorted_profiles(abcd, 2)) == 75 ** 2  # the largest domain at 4 alternatives
     with pytest.raises(BoundError, match="3 voters over 75 weak orders exceed the budget"):
         TabulatedSWF(abcd, 3, [])
+
+
+# a voter count is refused before any table is built, and only an int counts:
+# True and 1.0 are not read as the cached n=1 domain
+@pytest.mark.parametrize("n", [-1, True, 1.0, "2"], ids=repr)
+@pytest.mark.parametrize("check", [
+    sorted_profiles,
+    lambda alternatives, n: arrow.check_a4(
+        constant_swf(alternatives, n, enumerate_weak_orders(alternatives)[0])),
+], ids=["sorted-profiles", "check-a4"])
+def test_a_voter_count_that_is_not_a_non_negative_int_is_refused(check, n):
+    arrow.check_a4(projection_swf(ALTS, 1, 0))  # n=1 in both caches
+    caches = (arrow._tables, sorted_profiles)
+    before = [cache.cache_info().currsize for cache in caches]
+    with pytest.raises(BoundError, match=rf"voter count {n!r} is not a non-negative int"):
+        check(ALTS, n)
+    assert [cache.cache_info().currsize for cache in caches] == before
+
+
+# --- one stance-vector coding, and tables built on first use -------------------
+
+STANCE_DOMAINS = [pytest.param(alternatives, n, id=f"{''.join(alternatives)}-{n}")
+                  for alternatives, top in ((("a", "b"), 4), (ALTS, 3), (ALTS + ("d",), 1))
+                  for n in range(top + 1)]
+
+
+@pytest.mark.parametrize("alternatives, n", STANCE_DOMAINS)
+def test_each_pair_codes_the_voters_stances_base_3(alternatives, n):
+    domain = arrow._tables(alternatives, n)
+    assert domain.pairs == tuple(naive_ordered_pairs(alternatives))
+    for p, (a, b) in enumerate(domain.pairs):
+        assert domain.vectors[p] == tuple(
+            sum((w.stance(a, b) + 1) * 3 ** (n - 1 - v) for v, w in enumerate(x))
+            for x in sorted_profiles(alternatives, n))
+
+
+@pytest.mark.parametrize("alternatives, n", STANCE_DOMAINS)
+def test_pair_functions_are_the_stances_read_from_the_orders(alternatives, n):
+    orders = enumerate_weak_orders(alternatives)
+    swfs = [constant_swf(alternatives, n, orders[0]), constant_swf(alternatives, n, orders[-1])]
+    swfs += [projection_swf(alternatives, n, v) for v in range(n)]
+    for swf in swfs:
+        expected = {}
+        for a, b in itertools.combinations(alternatives, 2):
+            table = expected[(a, b)] = {}
+            for x in sorted_profiles(alternatives, n):
+                table.setdefault(tuple(w.stance(a, b) for w in x), swf.evaluate(x).stance(a, b))
+        got = factor_into_pair_functions(swf)
+        assert got == expected
+        # key order included, of the pairs and of each pair's stance vectors
+        assert [(q, list(t)) for q, t in got.items()] == [(q, list(t)) for q, t in expected.items()]
+
+
+def test_order_tables_need_memory_of_the_stance_codes_not_of_every_profiles_stances():
+    profiles = sorted_profiles(ALTS, 4)  # 28,561, built before tracing
+    tracemalloc.start()
+    try:
+        domain = arrow._OrderTables(ALTS, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert domain.profiles is profiles
+    assert peak < 200 * len(profiles)
+
+
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    """An empty order-table cache for one test, so that what it finds built
+    in a domain's tables was built by the test."""
+    monkeypatch.setattr(arrow, "_tables",
+                        functools.lru_cache(maxsize=None, typed=True)(arrow._OrderTables))
+
+
+def test_no_check_builds_the_profile_codes(fresh_tables):
+    table = arrow_search(2, ALTS)[0]  # built by ``_of_indices``
+    for swf in (table, projection_swf(ALTS, 2, 1), borda_swf(ALTS, 2)):
+        for check in (arrow.check_a2, arrow.check_a3, arrow.check_a4, arrow.check_a5,
+                      arrow.find_dictator, factor_into_pair_functions):
+            check(swf)
+    assert "codes" not in vars(arrow._tables(ALTS, 2))
+
+
+def test_one_evaluate_builds_the_profile_codes(fresh_tables):
+    table = arrow_search(2, ALTS)[0]
+    domain = arrow._tables(ALTS, 2)
+    assert "codes" not in vars(domain)
+    profiles = sorted_profiles(ALTS, 2)
+    assert table.evaluate(profiles[100]) is table.value_tuple()[100]
+    assert vars(domain)["codes"] == {x: code for code, x in enumerate(profiles)}
+    with pytest.raises(KeyError):
+        table.evaluate(profiles[100][:1])  # another length
+    with pytest.raises(KeyError):
+        table.evaluate((WeakOrder((("a",), ("b",))),) * 2)  # other alternatives
+    with pytest.raises(TypeError):
+        table.evaluate(list(profiles[100]))  # unhashable
