@@ -28,8 +28,8 @@ AttributeError on its first stance read.  A domain of more than
 
 A ``TabulatedSWF`` is its orders' indices, one byte per code: its constructor
 finds each value in the index and refuses any other value; its orders are read
-from the bytes when asked for, and its ``evaluate`` finds a profile's code in
-a map that no check reads, built on its first call.  For a table
+from the bytes when asked for, and its ``evaluate`` computes a profile's code
+from the index, sum of index[x_v]*m^(n-1-v), and builds no table.  For a table
 ``find_dictator`` decides, and ``check_a2`` screens, with whole-column set
 operations over three more tables, built on first use: per dictator premise,
 the (voter order, social order) index pairs, of the m x m, in which the social
@@ -166,11 +166,11 @@ class TabulatedSWF(SWF):
     """Explicit order table over every profile for fixed n.
 
     The table is one byte per profile, in ``sorted_profiles`` order: the index
-    of its social order among the domain's weak orders.  A profile is looked
-    up by its code in the domain's order tables (see the module docstring),
-    which every table of the domain shares.  Every value must equal one of
-    the domain's orders; anything else raises ValueError, as does a domain of
-    more than 256 orders.
+    of its social order among the domain's weak orders.  ``evaluate`` finds a
+    profile's code from the order index of the domain's order tables (see the
+    module docstring), which every table of the domain shares.  Every value
+    must equal one of the domain's orders; anything else raises ValueError, as
+    does a domain of more than 256 orders.
     """
 
     def __init__(self, alternatives: tuple[str, ...], n: int,
@@ -207,7 +207,11 @@ class TabulatedSWF(SWF):
         super().__init__(alternatives, n, descriptor)
 
     def evaluate(self, profile: ArrowProfile) -> WeakOrder:
-        return self._orders[self._indices[self._domain.codes[profile]]]
+        """The order at code sum of index[x_v]*m^(n-1-v); raises as a dict lookup would."""
+        index, weights = self._domain.index, self._domain.weights
+        if tuple.__len__(profile) != len(weights):  # TypeError unless a tuple
+            raise KeyError(profile)
+        return self._orders[self._indices[sum(index[x] * w for x, w in zip(profile, weights))]]
 
     def value_tuple(self) -> tuple[WeakOrder, ...]:
         """Orders in canonical profile order; the table's identity for sorting."""
@@ -219,7 +223,7 @@ def sorted_profiles(alternatives: tuple[str, ...], n: int) -> tuple[ArrowProfile
     """All order profiles in canonical enumeration order, built once per domain.
     A voter count that is not a non-negative int, or over ``core.PROFILE_BUDGET``
     profiles (m^n, m weak orders), raises BoundError before any is built."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise BoundError(f"voter count {n!r} is not a non-negative int")
     orders = enumerate_weak_orders(alternatives)
     if core.profile_count(len(orders), n) > core.PROFILE_BUDGET:
@@ -230,7 +234,7 @@ def sorted_profiles(alternatives: tuple[str, ...], n: int) -> tuple[ArrowProfile
 
 def projection_swf(alternatives: tuple[str, ...], n: int, voter: int) -> SWF:
     """The social order is voter's own order: the textbook dictatorship."""
-    if not 0 <= voter < n:
+    if type(voter) is not int or not 0 <= voter < n:
         raise ValueError("voter index out of range")
     return FunctionSWF(alternatives, n, lambda x: x[voter], f"projection:{voter}")
 
@@ -241,8 +245,8 @@ def constant_swf(alternatives: tuple[str, ...], n: int, order: WeakOrder) -> SWF
 
 def anti_dictator_swf(alternatives: tuple[str, ...], n: int, voter: int) -> SWF:
     """The social order reverses one voter's order; breaks responsiveness."""
-    return FunctionSWF(alternatives, n, lambda x: x[voter].reversed(),
-                       f"anti-dictator:{voter}")
+    own = projection_swf(alternatives, n, voter).evaluate  # refuses another voter
+    return FunctionSWF(alternatives, n, lambda x: own(x).reversed(), f"anti-dictator:{voter}")
 
 
 def _order_by_score(alternatives: tuple[str, ...], score: Mapping[str, int]) -> WeakOrder:
@@ -365,11 +369,6 @@ class _OrderTables:
         return text
 
     # --- read by some checks only, so built on first use ---------------------
-
-    @functools.cached_property
-    def codes(self) -> dict[ArrowProfile, int]:
-        """Each profile's code, read by ``TabulatedSWF.evaluate``."""
-        return {x: code for code, x in enumerate(self.profiles)}
 
     @functools.cached_property
     def honours(self) -> dict[str, frozenset[tuple[int, int]]]:
@@ -684,8 +683,7 @@ def arrow_search(n: int = 2, alternatives: tuple[str, ...] = ("a", "b", "c")) ->
     built once per domain, on first use, and shared by later calls in the
     process.
     """
-    if (isinstance(n, bool) or not isinstance(n, int) or n not in (1, 2, 3)
-            or len(alternatives) != 3):
+    if type(n) is not int or n not in (1, 2, 3) or len(alternatives) != 3:
         raise BoundError("search is desk-scale only: 1 to 3 voters, exactly 3 alternatives")
     masks, rows, keys, order_at = _search_network(alternatives, n)
     size = 3 ** n

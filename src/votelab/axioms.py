@@ -17,13 +17,12 @@ size of it in code order just before they scan it (:meth:`Outcomes.fill`), up
 to the first profile that raises or answers outside the alphabet; later slots
 wait for a checker's first read.  Other checkers, and every checker on a table
 of its own, which dies with the check, evaluate only the profiles they read.  A
-slot's profile is built without re-validation: its ballots are the alphabet's
-own symbols, and it equals, and hashes like, the checked ``Profile``.  Checkers
-read the slots in the order of a per-profile loop, and a filled slot holds a
-symbol, so an error surfaces at the same profile.  Moves between profiles are
-index arithmetic: a voter joining with ballot d leads to ``code*k + d``, a
-relabeling maps every digit, and a changed ballot at voter v adds
-``(new-old)*k^(n-1-v)``.
+slot's profile is built from its level's ballot halves only by
+``Outcomes._store``.  Checkers read the slots in the order of a per-profile
+loop, and a filled slot holds a symbol, so an error surfaces at the same
+profile.  Moves between profiles are index arithmetic: a voter joining with
+ballot d leads to ``code*k + d``, a relabeling maps every digit, and a changed
+ballot at voter v adds ``(new-old)*k^(n-1-v)``.
 
 The relabeling checks (C2, MA3) read each orbit once.  The relabelings a
 check tests, with the identity, form a group G that acts on profiles and on
@@ -38,7 +37,7 @@ are therefore those of the loop over every code.
 
 The index tables an outcome table reads depend only on the alphabet and the
 profile size, so each is built once per process and shared by every table:
-the ballot tuples of half a profile (keyed by the symbols in order), each
+the ballot tuples of a profile's head and tail halves (``_halves``), each
 code's counts and class representative (by k), the relabeled codes of half a
 profile (by the relabeling's digit map), the relabelings C2 tests, and per
 tuple of relabelings and size their symbol maps and half-profile code tables
@@ -57,10 +56,10 @@ the signature representation cannot mask a violation.  The table is indexed by
 raw profiles, and the ballot-multiset classes of C3 are keyed by per-code
 counts over every alternative, tie included, never by ``core.signature``.
 Every checker scans its sizes through ``_sweep``, the one loop over profile
-sizes and the one place a checker refuses a bound, with BoundError and before
-any evaluation: a negative bound, one over ``core.PROFILE_BUDGET``, and one
-that leaves no size to scan (0 for C4, C5 and TIE_CLOSURE, which extend the
-profiles below the bound).  :func:`audit` refuses them before any checker.
+sizes.  Before any evaluation, BoundError refuses a bound that is not a
+non-negative int, one over ``core.PROFILE_BUDGET`` and one leaving no size to
+scan (0 for C4, C5 and TIE_CLOSURE, which extend smaller profiles);
+:func:`audit` refuses them before any checker.
 """
 
 from __future__ import annotations
@@ -78,14 +77,13 @@ from .core import (
     RuleDomainError,
     VoteLabError,
     VoterPermutation,
-    _trusted_profile,
-    _trusted_profiles,
     apply_alt_permutation,
     apply_voter_permutation,
     extend,
     plurality_winner,
     profile_budget,
     profiles_of_size,  # unused here; perfbench's tracer patches this module attribute
+    require_voter_bound,
     strict_plurality,
     tally,
 )
@@ -172,8 +170,7 @@ class Outcomes:
 
     Built by :func:`audit` or another caller to share among checkers, which
     then fill the sizes they scan whole, or by a checker called without one.
-    A slot's profile is built from its code when the slot is first read, or
-    when :meth:`fill` reaches it.
+    A slot is evaluated when first read, or when :meth:`fill` reaches it.
     """
 
     def __init__(self, rule: RuleFamily):
@@ -183,23 +180,33 @@ class Outcomes:
         self._digit = {s: d for d, s in enumerate(rule.alphabet.alternatives)}
         self._slots: dict[int, list] = {}
         self._symbols: dict[int, int] = {}
+        self._halves: dict[int, tuple[list, list, int]] = {}
 
     def _level(self, size: int) -> list:
         if size not in self._slots:
             self._slots[size], self._symbols[size] = [_PENDING] * self.k ** size, 0
+            self._halves[size] = _halves(self.alphabet.alternatives, size)
         return self._slots[size]
 
-    def _store(self, size: int, pending: Iterable[tuple[int, Profile]]) -> object:
-        """Evaluate each ``(code, profile)`` whose slot is pending, in turn, and
-        keep its symbol, up to the first profile that raises or answers outside
-        the alphabet (or a slot holding such an error); returns the exception
-        or RuleDomainError kept there, else the last outcome."""
+    def _store(self, size: int, codes: Iterable[int]) -> object:
+        """Evaluate the profile at each code whose slot is pending, in turn,
+        and keep its symbol, up to the first profile that raises or answers
+        outside the alphabet (or a slot holding such an error); returns the
+        exception or RuleDomainError kept there, else the last outcome.  The
+        one place a slot's profile is built: inline (a call per profile made
+        filled audits about 5% slower) and unchecked, as its ballots are the
+        alphabet's own symbols; it equals, and hashes like, the checked ``Profile``."""
         slots, evaluate = self._slots[size], self.rule.evaluate
-        alternatives = self.alphabet.alternatives
+        alphabet, alternatives = self.alphabet, self.alphabet.alternatives
+        heads, tails, tail_codes = self._halves[size]
+        new, put = object.__new__, object.__setattr__
         kept, value = 0, None
-        for code, profile in pending:
+        for code in codes:
             value = slots[code]
             if value is _PENDING:
+                profile = new(Profile)
+                put(profile, "alphabet", alphabet)
+                put(profile, "ballots", heads[code // tail_codes] + tails[code % tail_codes])
                 try:
                     value = evaluate(profile)
                 except Exception as exc:  # kept in the slot; every read raises it
@@ -221,11 +228,8 @@ class Outcomes:
         """Evaluate the pending slots of ``size`` ballots in code order up to the
         first error, leaving later slots pending; True if every slot holds a symbol."""
         slots = self._level(size)
-        if self._symbols[size] == len(slots):  # already full
-            return True
-        ballots = itertools.product(self.alphabet.alternatives, repeat=size)
-        profiles = _trusted_profiles(self.alphabet, ballots)
-        return not isinstance(self._store(size, enumerate(profiles)), Exception)
+        return (self._symbols[size] == len(slots)  # already full
+                or not isinstance(self._store(size, range(len(slots))), Exception))
 
     def reader(self, size: int) -> Callable[[int], str]:
         """Outcome by code among the profiles of ``size`` ballots; raises what
@@ -235,20 +239,13 @@ class Outcomes:
         slots = self._level(size)
         if self._symbols[size] == len(slots):
             return slots.__getitem__
-        low = size // 2
-        tail_codes = self.k ** low
-        alphabet, store = self.alphabet, self._store
-        alternatives = alphabet.alternatives
-        heads, tails = _ballots(alternatives, size - low), _ballots(alternatives, low)
 
         def read(code: int) -> str:
             value = slots[code]
             if type(value) is str:
                 return value
             if value is _PENDING:
-                head, tail = divmod(code, tail_codes)
-                profile = _trusted_profile(alphabet, heads[head] + tails[tail])
-                value = store(size, ((code, profile),))
+                value = self._store(size, (code,))
             if isinstance(value, Exception):
                 raise value
             return value  # a symbol, or a str subclass equal to one
@@ -260,19 +257,17 @@ class Outcomes:
         return self._digit[symbol]
 
     def profile(self, size: int, code: int) -> Profile:
-        """The profile at ``code``, its two halves looked up among the ballot
-        tuples of half the size."""
-        low = size // 2
-        head, tail = divmod(code, self.k ** low)
-        alts = self.alphabet.alternatives
-        return _trusted_profile(self.alphabet,
-                                _ballots(alts, size - low)[head] + _ballots(alts, low)[tail])
+        """The checked profile at ``code`` of a level already read, for a witness."""
+        heads, tails, tail_codes = self._halves[size]
+        return Profile(self.alphabet, heads[code // tail_codes] + tails[code % tail_codes])
 
 
 @functools.lru_cache(maxsize=None)
-def _ballots(alternatives: tuple[str, ...], size: int) -> list[tuple[str, ...]]:
-    """The ballot tuples of ``size`` voters in code order."""
-    return list(itertools.product(alternatives, repeat=size))
+def _halves(alternatives: tuple[str, ...], size: int) -> tuple[list, list, int]:
+    """The head and tail ballot tuples of ``size`` ballots in code order, and k^(size//2)."""
+    low = size // 2
+    return (list(itertools.product(alternatives, repeat=size - low)),
+            list(itertools.product(alternatives, repeat=low)), len(alternatives) ** low)
 
 
 @functools.lru_cache(maxsize=None)
@@ -330,12 +325,11 @@ def _sweep(rule: RuleFamily, axiom: str, n_max: int, sizes: range, reads: range,
            scan: Callable[[Outcomes, int], tuple[Witness | None, int]],
            whole: bool = False) -> CheckResult:
     """The one loop over profile sizes.  Once the sizes the check ``reads`` are
-    within budget (a negative bound raises there too), ``outcomes`` belongs to
-    ``rule`` (or a new table is made) and ``sizes`` is not empty,
-    ``scan(table, size)`` gives each size's witness or None and its profile
-    count, up to the first witness.  A ``whole`` scan reads every profile of
-    its size when it passes, so a table handed in, which later checkers share,
-    is filled there first; a table made here stays lazy."""
+    within budget, ``outcomes`` belongs to ``rule`` (or a new table is made)
+    and ``sizes`` is not empty, ``scan(table, size)`` gives each size's witness
+    or None and its profile count, up to the first witness.  A ``whole`` scan
+    reads every profile of its size when it passes, so a shared table handed in
+    is filled there first; one made here stays lazy."""
     profile_budget(rule.alphabet, n_max, reads)
     shared = outcomes is not None
     if not shared:
@@ -362,16 +356,17 @@ def _require_extensible(axiom: str, n_max: int, sizes: range) -> None:
 # --- checkers ---------------------------------------------------------------
 
 
-def _require_checkable(alphabet: Alphabet) -> None:
+def _require_checkable(alphabet: Alphabet, n_max: int) -> None:
     if len(alphabet.non_bot) < 2:
         raise RuleDomainError(
             f"checkers need at least 2 non-tie alternatives, got {alphabet.non_bot}"
         )
+    require_voter_bound(n_max)  # before the checker builds a range from it
 
 
 def check_c2(rule: RuleFamily, n_max: int, *, outcomes: Outcomes | None = None) -> CheckResult:
     """Neutrality: relabeling non-tie alternatives relabels the outcome."""
-    _require_checkable(rule.alphabet)
+    _require_checkable(rule.alphabet, n_max)
     perms = _relabelings(rule.alphabet)
     return _sweep(rule, C2, n_max, range(n_max + 1), range(n_max + 1), outcomes,
                   lambda table, size: _relabel_scan(table, size, perms, C2), whole=True)
@@ -419,7 +414,7 @@ def check_c3(rule: RuleFamily, n_max: int, *, outcomes: Outcomes | None = None) 
     reconstructed for the first offending profile.  This is equivalent to the
     quadratic profile-times-permutation loop, witness included.
     """
-    _require_checkable(rule.alphabet)
+    _require_checkable(rule.alphabet, n_max)
     return _sweep(rule, C3, n_max, range(n_max + 1), range(n_max + 1), outcomes,
                   lambda table, size: _multiset_scan(table, size, C3), whole=True)
 
@@ -456,7 +451,7 @@ def _extension_check(rule: RuleFamily, n_max: int, outcomes: Outcomes | None, ax
                      broken: Callable[[str, str], bool]) -> CheckResult:
     """One voter joins every profile below ``n_max`` with the ballot
     ``joining(outcome)`` (None: no move); ``broken(before, after)`` fails it."""
-    _require_checkable(rule.alphabet)
+    _require_checkable(rule.alphabet, n_max)
 
     def scan(table: Outcomes, size: int) -> tuple[Witness | None, int]:
         k, digit = table.k, table._digit  # every outcome read is a symbol of the alphabet
@@ -498,7 +493,7 @@ def check_c6(rule: RuleFamily, n_max: int, *, outcomes: Outcomes | None = None) 
 
     Probes extensions of size n_max + 1, so the rule must be evaluable there.
     """
-    _require_checkable(rule.alphabet)
+    _require_checkable(rule.alphabet, n_max)
     bot = rule.alphabet.bot
 
     def scan(table: Outcomes, size: int) -> tuple[Witness | None, int]:
@@ -518,7 +513,7 @@ def _expected_check(rule: RuleFamily, n_max: int, outcomes: Outcomes | None, axi
                     expect: Callable[[tuple[int, ...]], str | None]) -> CheckResult:
     """Each profile's outcome must be the tie or ``expect(counts)`` of its
     ballot multiset (None: no constraint, and the outcome is not read)."""
-    _require_checkable(rule.alphabet)
+    _require_checkable(rule.alphabet, n_max)
     bot = rule.alphabet.bot
 
     def scan(table: Outcomes, size: int) -> tuple[Witness | None, int]:
@@ -576,22 +571,23 @@ def check_tie_closure(
                             lambda before, after: after == bot)
 
 
-def _require_may(rule: RuleFamily) -> None:
+def _require_may(rule: RuleFamily, n: int) -> None:
     a = rule.alphabet
     if set(a.alternatives) != {"-1", "0", "1"} or a.bot != "0":
         raise RuleDomainError("May-style checks need the {-1, 0, 1} alphabet with tie 0")
+    require_voter_bound(n)
 
 
 def check_ma2(rule: RuleFamily, n: int, *, outcomes: Outcomes | None = None) -> CheckResult:
     """May's symmetry at exact size n: full voter-permutation invariance."""
-    _require_may(rule)
+    _require_may(rule, n)
     return _sweep(rule, MA2, n, range(n, n + 1), range(n, n + 1), outcomes,
                   lambda table, size: _multiset_scan(table, size, MA2), whole=True)
 
 
 def check_ma3(rule: RuleFamily, n: int, *, outcomes: Outcomes | None = None) -> CheckResult:
     """May's neutrality at exact size n: negating every ballot negates the outcome."""
-    _require_may(rule)
+    _require_may(rule, n)
     negate = (AltPermutation.swap(rule.alphabet, "-1", "1"),)
     return _sweep(rule, MA3, n, range(n, n + 1), range(n, n + 1), outcomes,
                   lambda table, size: _relabel_scan(table, size, negate, MA3), whole=True)
@@ -607,7 +603,7 @@ def check_ma4(
     through 0.  In both, if the old outcome was the tie or already the move's
     direction, the new outcome must be the move's direction.
     """
-    _require_may(rule)
+    _require_may(rule, n)
     if semantics not in ("flip", "in_favor"):
         raise VoteLabError(f"unknown Ma4 semantics {semantics!r}")
     value = [int(s) for s in rule.alphabet.alternatives]
@@ -756,9 +752,10 @@ def audit(
 ) -> AuditReport:
     """Run the selected checkers on one shared outcome table, so each raw
     profile is evaluated at most once.  Checker errors are recorded per axiom
-    and do not abort the remaining ones.  A negative bound, or one whose
-    profiles exceed the budget, raises BoundError before any evaluation, so it
-    never yields a vacuous pass; so does 0 with C4, C5 or TIE_CLOSURE."""
+    and do not abort the remaining ones.  A bound that is not a non-negative
+    int, one whose profiles exceed the budget, and 0 with C4, C5 or TIE_CLOSURE
+    raise BoundError before any evaluation, so none yields a vacuous pass."""
+    require_voter_bound(n_max)
     profile_budget(rule.alphabet, n_max, range(n_max + (2 if C6 in axioms else 1)))
     for a in axioms:
         if a not in ALL_AXIOMS:

@@ -62,7 +62,7 @@ class Alphabet:
     @staticmethod
     def make(num_alternatives: int, bot: str = "_") -> "Alphabet":
         """Alphabet with ``num_alternatives`` non-tie symbols a, b, c, ... plus ``bot``."""
-        if not 1 <= num_alternatives <= 26:
+        if type(num_alternatives) is not int or not 1 <= num_alternatives <= 26:
             raise ValueError("num_alternatives must be between 1 and 26")
         symbols = tuple(chr(ord("a") + i) for i in range(num_alternatives))
         if bot in symbols:
@@ -90,29 +90,6 @@ class Profile:
 
     def __len__(self) -> int:
         return len(self.ballots)
-
-
-def _trusted_profile(alphabet: Alphabet, ballots: tuple[str, ...]) -> Profile:
-    """The profile of ``ballots``, built without ``__post_init__``: only for
-    ballots drawn from the alphabet's own symbols, which need no check.  The
-    result equals, and hashes like, ``Profile(alphabet, ballots)``."""
-    profile = object.__new__(Profile)
-    object.__setattr__(profile, "alphabet", alphabet)
-    object.__setattr__(profile, "ballots", ballots)
-    return profile
-
-
-def _trusted_profiles(alphabet: Alphabet,
-                      ballot_tuples: Iterable[tuple[str, ...]]) -> Iterator[Profile]:
-    """:func:`_trusted_profile` of each ballot tuple in turn, built in this
-    loop as that function builds one (keep the two in step): a call per
-    profile made the filled audits of enumerated families about 5% slower."""
-    new, put = object.__new__, object.__setattr__
-    for ballots in ballot_tuples:
-        profile = new(Profile)
-        put(profile, "alphabet", alphabet)
-        put(profile, "ballots", ballots)
-        yield profile
 
 
 @dataclass(frozen=True)
@@ -258,15 +235,22 @@ def profile_count(k: int, size: int) -> int:
     return k ** size if k < 2 or size < PROFILE_BUDGET.bit_length() else PROFILE_BUDGET + 1
 
 
+def require_voter_bound(n_max: int) -> None:
+    """BoundError unless the voter bound ``n_max`` is a non-negative int (a bool is not one)."""
+    if type(n_max) is not int:
+        raise BoundError(f"max voters {n_max!r} is not an int")
+    if n_max < 0:
+        raise BoundError(f"max voters {n_max} is negative")
+
+
 def profile_budget(alphabet: Alphabet, n_max: int, sizes: range) -> int:
     """Sum of k^s over ``sizes`` (k = |A|): the raw profiles of the sizes that a
     run under the voter bound ``n_max`` touches.
 
-    Raises BoundError, before any profile is evaluated, for a negative bound,
-    which would otherwise pass vacuously, and for a sum over PROFILE_BUDGET.
+    Raises BoundError, before any profile is evaluated, for a bound that
+    :func:`require_voter_bound` refuses and for a sum over PROFILE_BUDGET.
     """
-    if n_max < 0:
-        raise BoundError(f"max voters {n_max} is negative")
+    require_voter_bound(n_max)
     k = len(alphabet.alternatives)
     total = 0
     for size in sizes:

@@ -31,6 +31,7 @@ from .core import (
     not_all,
     post,
     profile_budget,
+    require_voter_bound,
     rows,
     signature_positions,
     signatures_up_to,
@@ -61,7 +62,7 @@ class MayFunctionTable:
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 0:
+        if type(self.n) is not int or self.n < 0:
             raise ValueError(f"voter count must be a non-negative int, got {self.n!r}")
         check_values(self.values, math.comb(self.n + 2, 2), MAY_VALUES)
 
@@ -145,7 +146,7 @@ def enumerate_may_functions(n: int, semantics: str = "in_favor") -> tuple[MayFun
     voter count that is not a positive int, or is over that bound, raises
     BoundError before the network is built.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise BoundError(f"voter count {n!r} is not a positive int")
     profile_budget(Alphabet.may(), n, range(n, n + 1))
     masks, rows = _may_network(n, semantics)
@@ -245,8 +246,7 @@ def enumerate_c_families(alphabet: Alphabet, horizon: int, with_c6: bool = False
         raise RuleDomainError("family enumeration needs at least 2 non-tie alternatives")
     if k > 3:
         raise BoundError("family enumeration supports 2 or 3 non-tie alternatives")
-    if isinstance(horizon, bool) or not isinstance(horizon, int) \
-            or not 0 <= horizon <= MAX_HORIZON:
+    if type(horizon) is not int or not 0 <= horizon <= MAX_HORIZON:
         raise BoundError(f"horizon {horizon!r} outside bound 0..{MAX_HORIZON}")
     masks, rows = _c_network(alphabet, horizon, with_c6)
     symbol = {1 << v: x for v, x in enumerate((alphabet.bot,) + alphabet.non_bot)}
@@ -262,9 +262,10 @@ def rule_leq(f: RuleFamily, g: RuleFamily, n_max: int) -> tuple[bool, Profile | 
     g only where f is conclusive.  On failure returns the minimal profile
     (smallest size, lexicographically first) where f is conclusive and differs
     from g.  A negative bound, or one over the profile budget, raises
-    BoundError before any evaluation; an outcome outside the alphabet raises
-    RuleDomainError.
+    BoundError before any evaluation, as does one that is not an int; an
+    outcome outside the alphabet raises RuleDomainError.
     """
+    require_voter_bound(n_max)
     profile_budget(f.alphabet, n_max, range(n_max + 1))
     if f.alphabet != g.alphabet:
         raise VoteLabError("rules must share an alphabet to be compared")

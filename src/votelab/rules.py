@@ -52,7 +52,7 @@ class RuleFamily:
 def _domain_size(alphabet: Alphabet, horizon: int) -> int:
     """The number of signatures with total at most ``horizon``; ValueError,
     before any key is built, unless the horizon is a non-negative int."""
-    if isinstance(horizon, bool) or not isinstance(horizon, int) or horizon < 0:
+    if type(horizon) is not int or horizon < 0:
         raise ValueError(f"family horizon must be a non-negative int, got {horizon!r}")
     return math.comb(horizon + len(alphabet.non_bot), len(alphabet.non_bot))
 
@@ -141,7 +141,7 @@ class QuorumRule(RuleFamily):
     def __init__(self, alphabet: Alphabet, threshold: int, mode: str):
         if mode not in ("literal", "participation"):
             raise RuleDomainError(f"unknown quorum mode {mode!r}")
-        if threshold < 1:
+        if type(threshold) is not int or threshold < 1:
             raise RuleDomainError("quorum threshold must be at least 1")
         super().__init__(alphabet, f"quorum:{mode}:{threshold}")
         self.threshold = threshold

@@ -307,7 +307,11 @@ def test_borda_matches_the_stance_rule(alternatives, n):
     (lambda: enumerate_weak_orders(("a", "b", "a")), "alternatives must be distinct"),
     (lambda: projection_swf(ALTS, 2, 2), "voter index out of range"),
     (lambda: projection_swf(ALTS, 2, -1), "voter index out of range"),
-], ids=["no-alternatives", "repeated-alternative", "voter-past-the-end", "negative-voter"])
+    (lambda: projection_swf(ALTS, 2, True), "voter index out of range"),
+    (lambda: anti_dictator_swf(ALTS, 2, 5), "voter index out of range"),
+    (lambda: anti_dictator_swf(ALTS, 2, 1.0), "voter index out of range"),
+], ids=["no-alternatives", "repeated-alternative", "voter-past-the-end", "negative-voter",
+        "bool-voter", "anti-dictator-voter-past-the-end", "anti-dictator-float-voter"])
 def test_refusals_raise_value_error(call, message):
     with pytest.raises(ValueError, match=message) as raised:
         call()

@@ -581,25 +581,28 @@ def fresh_tables(monkeypatch):
                         functools.lru_cache(maxsize=None, typed=True)(arrow._OrderTables))
 
 
-def test_no_check_builds_the_profile_codes(fresh_tables):
+def test_evaluate_finds_the_code_by_arithmetic_and_builds_no_table(fresh_tables):
+    for alternatives, n in (param.values for param in STANCE_DOMAINS):
+        domain = arrow._tables(alternatives, n)
+        m, built = len(domain.orders), set(vars(domain))
+        table = arrow.TabulatedSWF._of_indices(alternatives, n,
+                                               bytes(code * 7 % m for code in range(m ** n)))
+        assert list(map(table.evaluate, domain.profiles)) == list(table.value_tuple())
+        assert set(vars(domain)) == built
     table = arrow_search(2, ALTS)[0]  # built by ``_of_indices``
+    domain = arrow._tables(ALTS, 2)
+    built = set(vars(domain))
     for swf in (table, projection_swf(ALTS, 2, 1), borda_swf(ALTS, 2)):
         for check in (arrow.check_a2, arrow.check_a3, arrow.check_a4, arrow.check_a5,
                       arrow.find_dictator, factor_into_pair_functions):
             check(swf)
-    assert "codes" not in vars(arrow._tables(ALTS, 2))
-
-
-def test_one_evaluate_builds_the_profile_codes(fresh_tables):
-    table = arrow_search(2, ALTS)[0]
-    domain = arrow._tables(ALTS, 2)
-    assert "codes" not in vars(domain)
+    assert set(vars(domain)) - built <= {"honours", "voter_orders", "grouped", "moves"}
     profiles = sorted_profiles(ALTS, 2)
-    assert table.evaluate(profiles[100]) is table.value_tuple()[100]
-    assert vars(domain)["codes"] == {x: code for code, x in enumerate(profiles)}
     with pytest.raises(KeyError):
         table.evaluate(profiles[100][:1])  # another length
     with pytest.raises(KeyError):
         table.evaluate((WeakOrder((("a",), ("b",))),) * 2)  # other alternatives
     with pytest.raises(TypeError):
-        table.evaluate(list(profiles[100]))  # unhashable
+        table.evaluate(list(profiles[100]))  # not a tuple
+    with pytest.raises(TypeError):
+        table.evaluate((profiles[100][0], []))  # an unhashable order

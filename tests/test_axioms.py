@@ -413,8 +413,9 @@ class TestBounds:
     @pytest.mark.parametrize("check", ALL_CHECKERS, ids=lambda c: c.__name__)
     def test_negative_bound_raises(self, check):
         rule = MaySignRule() if check.__name__.startswith("check_ma") else PureMajorityRule(AB2)
-        with pytest.raises(BoundError):
-            check(rule, -1)
+        for bound in (-1, True, 2.0, "2"):
+            with pytest.raises(BoundError):
+                check(rule, bound)
         if check in (check_c4, check_c5, check_tie_closure):
             # they extend profiles below the bound: at 0 there are none to extend
             with pytest.raises(BoundError):
@@ -430,6 +431,14 @@ class TestBounds:
             audit(rule, ("C2", axiom), 0)
         assert calls == []
         assert audit(rule, ("C2", "C3", "C6"), 0).results[0].passed
+
+    @pytest.mark.parametrize("bound", [-1, True, 2.0, "2"], ids=repr)
+    def test_audit_refuses_a_bound_that_is_not_a_non_negative_int(self, bound):
+        calls = []
+        rule = FunctionRule(AB2, lambda p: calls.append(p) or "_", "counting")
+        with pytest.raises(BoundError):
+            audit(rule, ("C2", "C4"), bound)
+        assert calls == []
 
     @pytest.mark.parametrize("check", ALL_CHECKERS, ids=lambda c: c.__name__)
     def test_over_budget_raises_before_evaluating(self, check):

@@ -69,6 +69,11 @@ class TestAlphabet:
         with pytest.raises(ValueError):
             Alphabet(("_",), "_")
 
+    @pytest.mark.parametrize("count", [0, 27, True, 2.0, "2"], ids=repr)
+    def test_make_refuses_a_count_that_is_not_an_int_from_1_to_26(self, count):
+        with pytest.raises(ValueError, match="between 1 and 26"):
+            Alphabet.make(count)
+
 
 class TestTally:
     def test_direct_count(self):
@@ -226,8 +231,9 @@ class TestProfileBudget:
             profile_budget(AB2, 10**12, range(10**12 + 1))
         with pytest.raises(BoundError):
             profile_budget(Alphabet.may(), 10**12, range(10**12, 10**12 + 1))
-        with pytest.raises(BoundError):
-            profile_budget(AB2, -1, range(1))
+        for bound in (-1, True, 2.0, "2"):
+            with pytest.raises(BoundError):
+                profile_budget(AB2, bound, range(1))
 
 
 class TestStrictPlurality:

@@ -349,8 +349,10 @@ class TestMaximalElements:
     (lambda: rule_leq(PureMajorityRule(AB2), PureMajorityRule(Alphabet.make(3)), 2),
      VoteLabError, "share an alphabet"),
     (lambda: enumerate_may_functions(2, "sideways"), VoteLabError, "unknown Ma4 semantics"),
+    *[(lambda bound=bound: rule_leq(PureMajorityRule(AB2), PureMajorityRule(AB2), bound),
+       BoundError, "is not an int") for bound in (True, 2.0, "2")],
 ], ids=["unsorted-family-set", "duplicated-family-set", "rules-over-two-alphabets",
-        "unknown-ma4-semantics"])
+        "unknown-ma4-semantics", "leq-bool-bound", "leq-float-bound", "leq-str-bound"])
 def test_refusals_raise_their_class(call, error, message):
     with pytest.raises(error, match=message) as raised:
         call()

@@ -34,3 +34,27 @@ def test_import_builds_no_order_tables():
                          capture_output=True, text=True).stdout
     assert out.split() == ["False", "True", "True", "0"]
 
+
+def test_the_benchmark_tracer_finds_every_name_it_patches_and_puts_it_back(monkeypatch):
+    # perfbench's tracer wraps names bound in every votelab module; removing
+    # one breaks only traced benchmark runs unless a tier-1 test enters it
+    from votelab import arrow, axioms, cli, core, enumeration, rules
+    modules = (votelab, core, rules, axioms, enumeration, arrow, cli)
+
+    def namespaces():
+        found = {m.__name__: dict(vars(m)) for m in modules}
+        for m in modules:
+            for value in list(vars(m).values()):
+                if isinstance(value, type) and value.__module__ == m.__name__:
+                    found[f"{m.__name__}.{value.__qualname__}"] = dict(vars(value))
+        return found
+
+    before = namespaces()
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    monkeypatch.delitem(sys.modules, "spans", raising=False)
+    import spans
+    with spans.instrument(spans.Tracer()):
+        assert axioms.profiles_of_size is not before["votelab.axioms"]["profiles_of_size"]
+        assert vars(rules.TabulatedFamily)["__init__"] \
+            is not before["votelab.rules.TabulatedFamily"]["__init__"]
+    assert namespaces() == before

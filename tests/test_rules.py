@@ -332,7 +332,9 @@ def test_a_profile_over_a_foreign_alphabet_is_refused(rule):
     (lambda: QuorumRule(AB2, 2, "majority"), "unknown quorum mode 'majority'"),
     (lambda: SupermajorityRule(AB2, Fraction(0), "all"), "strictly between 0 and 1"),
     (lambda: SupermajorityRule(AB2, Fraction(1), "nonbot"), "strictly between 0 and 1"),
-], ids=["quorum-mode", "quota-0", "quota-1"])
+    (lambda: QuorumRule(AB2, True, "literal"), "quorum threshold must be at least 1"),
+    (lambda: QuorumRule(AB2, 1.5, "literal"), "quorum threshold must be at least 1"),
+], ids=["quorum-mode", "quota-0", "quota-1", "quorum-threshold-bool", "quorum-threshold-float"])
 def test_ill_formed_rules_are_refused(call, message):
     with pytest.raises(RuleDomainError, match=message) as raised:
         call()
