@@ -72,6 +72,10 @@ class WeakOrder:
                 if sym in seen:
                     raise ValueError(f"alternative {sym!r} appears in two blocks")
                 seen.add(sym)
+        object.__setattr__(self, "_hash", hash((self.blocks,)))  # not rebuilt per lookup
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def alternatives(self) -> frozenset[str]:

@@ -206,20 +206,20 @@ def _entry_cells(alphabet: Alphabet, horizon: int) -> tuple[dict[str, tuple], ..
                  for sig in signatures_up_to(alphabet, horizon))
 
 
+def _family_head(alphabet: Alphabet, horizon: int) -> dict:
+    """The fields a family file document opens with, before its entries."""
+    return {"schema": 1, "kind": "tabulated-family", "alternatives": list(alphabet.alternatives),
+            "bot": alphabet.bot, "horizon": horizon}
+
+
 def family_json(family: TabulatedFamily) -> dict:
     """The family file document.  Each entry is a shared ``(counts, value)``
     tuple, one object for every family with that cell, so a document of many
     families encodes each entry once per indent (see ``render_document``);
     ``json`` writes a tuple as it writes a list."""
     cells = _entry_cells(family.alphabet, family.horizon)
-    return {
-        "schema": 1,
-        "kind": "tabulated-family",
-        "alternatives": list(family.alphabet.alternatives),
-        "bot": family.alphabet.bot,
-        "horizon": family.horizon,
-        "entries": list(map(dict.__getitem__, cells, family.values)),
-    }
+    return {**_family_head(family.alphabet, family.horizon),
+            "entries": list(map(dict.__getitem__, cells, family.values))}
 
 
 def family_from_json(doc: dict) -> TabulatedFamily:
@@ -438,46 +438,30 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    alphabet = _make_alphabet(args.alternatives)
-    fs = enumerate_c_families(alphabet, args.horizon, with_c6=args.with_c6)
-    artifacts = plurality_artifacts(fs)
-    position = {f.value_tuple(): i for i, f in enumerate(fs.families)}
-    artifact_sigs = {f.value_tuple(): sig for f, sig in artifacts}
-    maximal = maximal_elements(fs)
-    maximal_ids = {f.value_tuple() for f in maximal}
-    alternatives = list(alphabet.alternatives)
+    alphabet, horizon = _make_alphabet(args.alternatives), args.horizon
+    fs = enumerate_c_families(alphabet, horizon, with_c6=args.with_c6)
+    artifact_sigs = {id(f): sig for f, sig in plurality_artifacts(fs)}  # fs keeps each id's f
+    maximal_ids = set(map(id, maximal_elements(fs)))
+    head = _family_head(alphabet, horizon)  # one alternatives list, written once
+    cells = _entry_cells(alphabet, horizon)
     doc = {
         **_report_header("enumerate"),
-        "parameters": {
-            "alternatives": args.alternatives,
-            "horizon": args.horizon,
-            "with_c6": args.with_c6,
-        },
-        "bounds": {
-            "alternatives": alternatives,
-            "bot": alphabet.bot,
-            "horizon": args.horizon,
-            "c6_checked_up_to_total": args.horizon - 1 if args.with_c6 else None,
-        },
-        "counts": {"families": len(fs.families), "maximal": len(maximal)},
+        "parameters": {"alternatives": args.alternatives, "horizon": horizon,
+                       "with_c6": args.with_c6},
+        "bounds": {"alternatives": head["alternatives"], "bot": alphabet.bot, "horizon": horizon,
+                   "c6_checked_up_to_total": horizon - 1 if args.with_c6 else None},
+        "counts": {"families": len(fs.families), "maximal": len(maximal_ids)},
         "findings": {
             "plurality_artifacts": [
-                {
-                    "family": position[f.value_tuple()],
-                    "signature": list(sig),
-                    "note": "conclusive against the strict count winner beyond "
-                    "the half-horizon soundness region",
-                }
-                for f, sig in artifacts
+                {"family": i, "signature": list(artifact_sigs[id(f)]),
+                 "note": "conclusive against the strict count winner beyond "
+                 "the half-horizon soundness region"}
+                for i, f in enumerate(fs.families) if id(f) in artifact_sigs
             ],
         },
-        "families": [  # one alternatives list, written once
-            {
-                **family_json(f),
-                "alternatives": alternatives,
-                "maximal": f.value_tuple() in maximal_ids,
-                "plurality_artifact": f.value_tuple() in artifact_sigs,
-            }
+        "families": [
+            {**head, "entries": list(map(dict.__getitem__, cells, f.values)),
+             "maximal": id(f) in maximal_ids, "plurality_artifact": id(f) in artifact_sigs}
             for f in fs.families
         ],
     }

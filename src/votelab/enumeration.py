@@ -45,7 +45,7 @@ MAY_VALUES = (-1, 0, 1)
 # The family enumerator's bound stays fixed rather than follow
 # core.PROFILE_BUDGET: what it costs grows with the families it lists, not
 # with profiles (at 3 alternatives, h=7 without C6 lists 356,160 families:
-# 6.8-7.1 s and 435 MB peak RSS in-process, 2-vCPU Xeon VM, Python 3.11).
+# 5.6-8.1 s and 411 MB peak RSS in-process, 2-vCPU Xeon VM, Python 3.11).
 MAX_HORIZON = 8
 
 
@@ -175,18 +175,38 @@ def _cross_check_may(table: MayFunctionTable, semantics: str) -> None:
             )
 
 
+def _family_masks(alphabet: Alphabet, families: tuple[TabulatedFamily, ...]) -> tuple[int, ...]:
+    """Each family's table as one int: one bit per (cell, non-tie value), bit j
+    of a cell for ``non_bot[j]``, first cell most significant."""
+    k = len(alphabet.non_bot)
+    cell = {alphabet.bot: 0} | {x: 1 << j for j, x in enumerate(alphabet.non_bot)}
+    if k <= 4 and all(len(x) == 1 for x in cell):  # a cell is one digit in base 2^k
+        digits = str.maketrans({x: format(c, "x") for x, c in cell.items()})
+        return tuple(int("".join(f.values).translate(digits), 1 << k) for f in families)
+    bits = {x: format(c, f"0{k}b") for x, c in cell.items()}
+    return tuple(int("".join(map(bits.__getitem__, f.values)), 2) for f in families)
+
+
 @dataclass(frozen=True)
 class FamilySet:
-    """Canonically ordered, pairwise distinct tabulated families."""
+    """Canonically ordered, pairwise distinct families over one alphabet and horizon."""
 
     alphabet: Alphabet
     horizon: int
     families: tuple[TabulatedFamily, ...]
 
     def __post_init__(self) -> None:
-        values = [f.value_tuple() for f in self.families]
-        if sorted(values) != values or len(set(values)) != len(values):
+        a, h = self.alphabet, self.horizon  # the masks read every table as over these
+        if any(f.alphabet is not a and f.alphabet != a or f.horizon != h for f in self.families):
+            raise ValueError("families must share the set's alphabet and horizon")
+        values = [f.values for f in self.families]
+        if not all(map(tuple.__lt__, values, values[1:])):  # strictly increasing
             raise ValueError("families must be sorted and pairwise distinct")
+
+    @functools.cached_property
+    def _masks(self) -> tuple[int, ...]:
+        """The families' masks (:func:`_family_masks`), built on first use."""
+        return _family_masks(self.alphabet, self.families)
 
 
 @functools.lru_cache(maxsize=None)
@@ -237,9 +257,10 @@ def enumerate_c_families(alphabet: Alphabet, horizon: int, with_c6: bool = False
     representative's values and ties every other signature to its
     representative, consistency is one constraint per signature and
     alternative, and C6 one "not all tie" constraint over a signature and its
-    extensions, so every axiom prunes as soon as its cells narrow.  Fewer than
-    2 alternatives raise RuleDomainError; more than 3, or a horizon that is
-    not an int in 0..MAX_HORIZON, BoundError.
+    extensions, so every axiom prunes as soon as its cells narrow.  Solutions
+    become families unchecked, sorted only if tie-then-``non_bot`` is not
+    string order.  Fewer than 2 alternatives raise RuleDomainError; more than
+    3, or a horizon that is not an int in 0..MAX_HORIZON, BoundError.
     """
     k = len(alphabet.non_bot)
     if k < 2:
@@ -249,9 +270,13 @@ def enumerate_c_families(alphabet: Alphabet, horizon: int, with_c6: bool = False
     if type(horizon) is not int or not 0 <= horizon <= MAX_HORIZON:
         raise BoundError(f"horizon {horizon!r} outside bound 0..{MAX_HORIZON}")
     masks, rows = _c_network(alphabet, horizon, with_c6)
-    symbol = {1 << v: x for v, x in enumerate((alphabet.bot,) + alphabet.non_bot)}
-    families = sorted((TabulatedFamily(alphabet, horizon, tuple(map(symbol.__getitem__, m)))
-                       for m in solutions(list(masks), rows, k + 1)), key=TabulatedFamily.value_tuple)
+    assert len(masks) == math.comb(horizon + k, k)  # one cell per signature
+    symbols = (alphabet.bot,) + alphabet.non_bot  # a mask not one of their bits: KeyError
+    symbol = {1 << v: x for v, x in enumerate(symbols)}
+    families = [TabulatedFamily._of_search(alphabet, horizon, tuple(map(symbol.__getitem__, m)))
+                for m in solutions(list(masks), rows, k + 1)]
+    if list(symbols) != sorted(symbols):  # else the search's order is the canonical one
+        families.sort(key=TabulatedFamily.value_tuple)
     return FamilySet(alphabet, horizon, tuple(families))
 
 
@@ -284,8 +309,8 @@ def maximal_elements(family_set: FamilySet) -> tuple[TabulatedFamily, ...]:
     """Families with nothing strictly above them in the set.
 
     f is strictly below g when g agrees wherever f is conclusive and the tables
-    differ, over the set's common horizon.  Each table is one int, one bit per
-    (cell, non-tie value), so f is at most g exactly when ``F & ~G == 0``.  The
+    differ, over the set's common horizon.  With the set's one int per table
+    (:func:`_family_masks`), f is at most g exactly when ``F & ~G == 0``.  The
     masks are visited by decreasing bit count, each compared only with the
     maximal masks found so far.  That is exact: a mask below any other is below
     a maximal one (the set is finite and containment transitive), which has
@@ -297,11 +322,7 @@ def maximal_elements(family_set: FamilySet) -> tuple[TabulatedFamily, ...]:
     consistent rule.  Pure majority is the unique maximal element of the
     horizon-h restrictions of the horizon-2h set, which are free of them.
     """
-    non_bot = family_set.alphabet.non_bot
-    bits = {v: format(1 << j, f"0{len(non_bot)}b") for j, v in enumerate(non_bot)}
-    bits[family_set.alphabet.bot] = "0" * len(non_bot)
-    masks = [int("".join(map(bits.__getitem__, f.value_tuple())), 2)
-             for f in family_set.families]
+    masks = family_set._masks
     maximal: list[int] = []  # indices into the set, by decreasing bit count
     for i in sorted(range(len(masks)), key=lambda i: -masks[i].bit_count()):
         if not any(masks[i] & ~masks[j] == 0 for j in maximal):
@@ -325,13 +346,11 @@ def plurality_artifacts(
     then lies inside the larger horizon; pure majority is the unique maximal
     element of that restriction.
     """
-    sigs = signatures_up_to(family_set.alphabet, family_set.horizon)
-    bot = family_set.alphabet.bot
-    winners = pure_majority_table(family_set.alphabet, family_set.horizon).value_tuple()
-    out = []
-    for fam in family_set.families:
-        for sig, value, winner in zip(sigs, fam.value_tuple(), winners):
-            if value not in (bot, winner):
-                out.append((fam, sig))
-                break
-    return out
+    alphabet, horizon = family_set.alphabet, family_set.horizon
+    sigs = signatures_up_to(alphabet, horizon)
+    k, last = len(alphabet.non_bot), len(sigs) - 1
+    # an offending cell has a bit outside the winner's; the first holds the top bit
+    outside = ~_family_masks(alphabet, (pure_majority_table(alphabet, horizon),))[0]
+    return [(fam, sigs[last - (off.bit_length() - 1) // k])
+            for fam, mask in zip(family_set.families, family_set._masks)
+            if (off := mask & outside)]

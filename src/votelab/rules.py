@@ -74,6 +74,15 @@ class TabulatedFamily:
     def __post_init__(self) -> None:
         check_values(self.values, _domain_size(self.alphabet, self.horizon), self.alphabet)
 
+    @classmethod
+    def _of_search(cls, alphabet: Alphabet, horizon: int, values: tuple) -> TabulatedFamily:
+        """A table the search has proved valid, set as ``__init__`` sets it, unchecked."""
+        family = cls.__new__(cls)
+        object.__setattr__(family, "alphabet", alphabet)
+        object.__setattr__(family, "horizon", horizon)
+        object.__setattr__(family, "values", values)
+        return family
+
     @staticmethod
     def from_table(alphabet: Alphabet, horizon: int,
                    table: Mapping[tuple[int, ...], str]) -> "TabulatedFamily":

@@ -346,12 +346,17 @@ class TestMaximalElements:
      ValueError, "sorted and pairwise distinct"),
     (lambda: FamilySet(AB2, 2, enumerate_c_families(AB2, 2).families[:1] * 2),
      ValueError, "sorted and pairwise distinct"),
+    (lambda: FamilySet(AB2, 3, enumerate_c_families(Alphabet(("1", "2", "_"), "_"), 3).families),
+     ValueError, "share the set's alphabet and horizon"),
+    (lambda: FamilySet(AB2, 3, enumerate_c_families(AB2, 2).families),
+     ValueError, "share the set's alphabet and horizon"),
     (lambda: rule_leq(PureMajorityRule(AB2), PureMajorityRule(Alphabet.make(3)), 2),
      VoteLabError, "share an alphabet"),
     (lambda: enumerate_may_functions(2, "sideways"), VoteLabError, "unknown Ma4 semantics"),
     *[(lambda bound=bound: rule_leq(PureMajorityRule(AB2), PureMajorityRule(AB2), bound),
        BoundError, "is not an int") for bound in (True, 2.0, "2")],
-], ids=["unsorted-family-set", "duplicated-family-set", "rules-over-two-alphabets",
+], ids=["unsorted-family-set", "duplicated-family-set", "family-set-of-another-alphabet",
+        "family-set-of-another-horizon", "rules-over-two-alphabets",
         "unknown-ma4-semantics", "leq-bool-bound", "leq-float-bound", "leq-str-bound"])
 def test_refusals_raise_their_class(call, error, message):
     with pytest.raises(error, match=message) as raised:
@@ -428,3 +433,43 @@ def test_a_refused_search_caches_no_network(call, error):
     with pytest.raises(error):
         call()
     assert [network.cache_info().currsize for network in NETWORKS] == before
+
+
+# --- search output built without re-validation --------------------------------
+
+
+TILDE = Alphabet(("a", "b", "~"), "~")  # the tie symbol sorts after the letters
+SEARCH_SETS = ([(Alphabet.make(2), h) for h in range(9)]
+               + [(Alphabet.make(3), h) for h in range(7)] + [(TILDE, h) for h in range(7)])
+
+
+@pytest.mark.parametrize("with_c6", [False, True], ids=["plain", "c6"])
+@pytest.mark.parametrize("alphabet, horizon", SEARCH_SETS)
+def test_search_built_families_equal_validated_ones(alphabet, horizon, with_c6):
+    fs = enumerate_c_families(alphabet, horizon, with_c6=with_c6)
+    assert fs.families == tuple(sorted(fs.families, key=TabulatedFamily.value_tuple))
+    for family in fs.families:
+        assert family == TabulatedFamily(alphabet, horizon, family.values)
+
+
+@pytest.mark.parametrize("horizon", range(1, 7))
+def test_a_tie_symbol_after_the_letters_is_sorted_into_canonical_order(horizon):
+    values = [f.values for f in enumerate_c_families(TILDE, horizon).families]
+    symbols = (TILDE.bot,) + TILDE.non_bot
+    by_value_index = sorted(values, key=lambda v: [symbols.index(x) for x in v])
+    assert values == sorted(values) != by_value_index  # the search's own order is not canonical
+
+
+def test_a_solution_mask_that_is_not_one_value_raises(monkeypatch):
+    monkeypatch.setattr(enumeration, "solutions", lambda masks, rows, width: [[3] * len(masks)])
+    with pytest.raises(KeyError):
+        enumerate_c_families(AB2, 2)
+
+
+@pytest.mark.slow
+def test_the_three_alternative_horizon_seven_listing():
+    # the frontier job, about 10 s and 490 MB peak RSS: run with ``pytest -m slow``
+    fs = enumerate_c_families(Alphabet.make(3), 7)
+    assert len(fs.families) == 356160
+    assert len(maximal_elements(fs)) == 124
+    assert len(plurality_artifacts(fs)) == 344640

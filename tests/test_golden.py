@@ -45,3 +45,24 @@ def test_budget_sized_audit_document(tmp_path):
     assert main(["audit", "--rule", "pure-majority", "--alternatives", "3",
                  "--max-voters", "8", "--axioms", "C2-C6", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == BUDGET_AUDIT_SHA256
+
+
+# Enumerate documents past the golden files' (2, h=2), pinned by their digests:
+# the largest are (3, h=5) at 9,510,859 bytes and (2, h=8) at 12,135,756.
+ENUMERATE_SHA256 = {
+    "2 6": "dd0eba14652a06a638ad85236e1aeeb0c394c2124d10f4f215ade2976f7b4edf",
+    "3 4": "8e418557f31f907077c8e65d97d9f2c7ab6122ed299fcad50998a631ce9845e3",
+    "3 5 --with-c6": "0f9f334087062db6d596c5f18daca96382e1dfdbef2253cf6b7a3779f5042c93",
+    "2 8 --with-c6": "49c9160643ea84f30e18e52687942be27eb3c26de3fd825b5057980c24ace736",
+    "3 5": "22a22adbf6bfd05205e57cf5bb3fd86128f934f0c8c6b24e6322c4df7bd3e088",
+    "2 8": "40f03ba9e3938f3ee1d610cbb7b64337cbc125736942b921bcc6ec05581e2461",
+}
+
+
+@pytest.mark.parametrize("bounds", list(ENUMERATE_SHA256))
+def test_enumerate_document(bounds, tmp_path):
+    alternatives, horizon, *flags = bounds.split()
+    out = tmp_path / "enumerate.json"
+    assert main(["enumerate", "--alternatives", alternatives, "--horizon", horizon,
+                 *flags, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ENUMERATE_SHA256[bounds]

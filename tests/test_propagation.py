@@ -1,13 +1,15 @@
 """The family search poses every axiom as a constraint for the one search
 core, ``core.solutions``, C6 as a "not all tie" constraint over a signature and
-its extensions, and ``maximal_elements`` compares one-hot bitmasks against the
-maximal set found so far; here each is held to the code it replaced.
+its extensions, ``maximal_elements`` compares one-hot bitmasks against the
+maximal set found so far, and ``plurality_artifacts`` reads the same bitmasks;
+here each is held to the code it replaced.
 
 ``old_enumerate_c_families`` is the backtracker that looked up forcing
 predecessors and orbit representatives at every node, ``old_passes_c6`` the
-leaf filter the search used to apply to each finished table, and
+leaf filter the search used to apply to each finished table,
 ``old_maximal_elements`` with ``old_table_leq`` the pairwise comparison of
-value tuples.  They are copies, kept as an independent oracle.
+value tuples, and ``old_plurality_artifacts`` the per-signature walk of each
+table against pure majority's.  They are copies, kept as an independent oracle.
 """
 
 import functools
@@ -19,8 +21,10 @@ from hypothesis import strategies as st
 
 from votelab import axioms
 from votelab.core import Alphabet, signatures_up_to
-from votelab.enumeration import FamilySet, enumerate_c_families, maximal_elements
-from votelab.rules import TabulatedFamily, TabulatedRule
+from votelab.enumeration import (
+    FamilySet, enumerate_c_families, maximal_elements, plurality_artifacts,
+)
+from votelab.rules import TabulatedFamily, TabulatedRule, pure_majority_table
 
 from helpers import table_of
 
@@ -50,6 +54,19 @@ def old_maximal_elements(family_set):
         f for f, v in zip(family_set.families, values)
         if not any(w != v and old_table_leq(v, w, bot) for w in values)
     )
+
+
+def old_plurality_artifacts(family_set):
+    sigs = signatures_up_to(family_set.alphabet, family_set.horizon)
+    bot = family_set.alphabet.bot
+    winners = pure_majority_table(family_set.alphabet, family_set.horizon).value_tuple()
+    out = []
+    for fam in family_set.families:
+        for sig, value, winner in zip(sigs, fam.value_tuple(), winners):
+            if value not in (bot, winner):
+                out.append((fam, sig))
+                break
+    return out
 
 
 def _permute_counts(counts, perm):
@@ -222,6 +239,64 @@ def test_maximal_elements_of_three_alternative_subsets_match_the_pairwise_loop(
     picked = data.draw(st.sets(st.integers(0, len(every.families) - 1)))
     fs = FamilySet(every.alphabet, horizon, tuple(every.families[i] for i in sorted(picked)))
     assert maximal_elements(fs) == old_maximal_elements(fs)
+
+
+# --- artifacts by mask against the per-signature walk ------------------------------
+
+
+# a tie symbol after the letters; symbols of two characters
+ODD_ALPHABETS = (Alphabet(("a", "b", "~"), "~"), Alphabet(("-1", "0", "1"), "0"))
+ARTIFACT_SETS = ([(Alphabet.make(2), h) for h in range(9)]
+                 + [(Alphabet.make(3), h) for h in range(7)]
+                 + [(a, h) for a in ODD_ALPHABETS for h in range(7)])
+
+
+@pytest.mark.parametrize("with_c6", [False, True], ids=["plain", "c6"])
+@pytest.mark.parametrize("alphabet, horizon", ARTIFACT_SETS)
+def test_plurality_artifacts_match_the_per_signature_walk(alphabet, horizon, with_c6):
+    fs = enumerate_c_families(alphabet, horizon, with_c6=with_c6)
+    assert plurality_artifacts(fs) == old_plurality_artifacts(fs)
+
+
+@pytest.mark.parametrize("horizon", range(7))
+@pytest.mark.parametrize("alphabet", ODD_ALPHABETS, ids=["tilde", "two-char"])
+def test_maximal_elements_over_other_alphabets_match_the_pairwise_loop(alphabet, horizon):
+    fs = enumerate_c_families(alphabet, horizon)
+    assert maximal_elements(fs) == old_maximal_elements(fs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.integers(0, len(families(2, 6).families) - 1)))
+def test_plurality_artifacts_of_subsets_match_the_per_signature_walk(picked):
+    every = families(2, 6).families
+    fs = FamilySet(AB2, 6, tuple(every[i] for i in sorted(picked)))
+    assert plurality_artifacts(fs) == old_plurality_artifacts(fs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_order_and_artifacts_of_drawn_tables_match_the_loops(data):
+    # any tables, not only consistent ones: every cell can hold every value
+    alphabet = data.draw(st.sampled_from((AB2, Alphabet.make(3)) + ODD_ALPHABETS))
+    horizon = data.draw(st.integers(0, 4))
+    cell = st.sampled_from(alphabet.alternatives)
+    drawn = data.draw(st.sets(st.tuples(*[cell] * len(signatures_up_to(alphabet, horizon))),
+                              max_size=12))
+    fs = FamilySet(alphabet, horizon,
+                   tuple(TabulatedFamily(alphabet, horizon, v) for v in sorted(drawn)))
+    assert plurality_artifacts(fs) == old_plurality_artifacts(fs)
+    assert maximal_elements(fs) == old_maximal_elements(fs)
+
+
+@pytest.mark.parametrize("horizon, with_c6", [(5, False), (6, True)])  # 1,512 and 14 families
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_plurality_artifacts_of_three_alternative_subsets_match_the_per_signature_walk(
+        horizon, with_c6, data):
+    every = families(3, horizon, with_c6)
+    picked = data.draw(st.sets(st.integers(0, len(every.families) - 1)))
+    fs = FamilySet(every.alphabet, horizon, tuple(every.families[i] for i in sorted(picked)))
+    assert plurality_artifacts(fs) == old_plurality_artifacts(fs)
 
 
 # --- the dual route at 3 alternatives ---------------------------------------------
